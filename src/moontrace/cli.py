@@ -13,11 +13,18 @@ import sys
 from fractions import Fraction
 
 from . import fock, lattice, modular, virasoro
-from .qseries import TruncationError
+from .qseries import RouteDisagreement, TruncationError
 
 # brute-force depth caps so `verify` stays interactive at the default order
 ORACLE_GRADE_CAP = 6        # single-oscillator brute force, q-grade
 TWISTED_UNIT_CAP = 6        # rank-24 twisted brute force, half-integer units
+
+# largest accepted inputs (in absolute value); every request within them
+# finishes in about a minute at most, anything beyond is refused up front
+MAX_ORDER = 200             # --order
+MAX_NORM = 512              # --norm and the L of identity parameters
+MAX_K = 32                  # --k and prop31:KMAX
+MAX_WEIGHT = 128            # spaces --weight
 
 
 def _fraction(text: str) -> Fraction:
@@ -28,6 +35,17 @@ def _fraction(text: str) -> Fraction:
     if value < 1:
         raise argparse.ArgumentTypeError("order must be at least 1")
     return value
+
+
+def _bounded(limit: int, parse=int):
+    """argparse type: `parse` the text and refuse values beyond +-limit."""
+    def check(text: str):
+        value = parse(text)
+        if abs(value) > limit:
+            raise argparse.ArgumentTypeError(f"{value} exceeds the limit {limit}")
+        return value
+    check.__name__ = parse.__name__
+    return check
 
 
 def _series_payload(s, fmt: str):
@@ -54,18 +72,14 @@ def _emit(obj: dict, fmt: str):
 def _cmd_expand(args) -> int:
     what, _, suffix = args.what.partition(":")
     order = args.order
-    if what == "eta":
-        series = modular.eta(order)
-    elif what == "delta":
-        series = modular.delta(order)
-    elif what == "jfunction":
-        series = modular.jfunction(order)
-    elif what == "eisenstein":
-        series = modular.eisenstein(int(suffix or 4), order)
-    elif what == "theta":
-        series = modular.theta(int(suffix or 1), order)
-    else:
+    expansions = {
+        "eta": modular.eta, "delta": modular.delta, "jfunction": modular.jfunction,
+        "eisenstein": lambda o: modular.eisenstein(int(suffix or 4), o),
+        "theta": lambda o: modular.theta(int(suffix or 1), o),
+    }
+    if what not in expansions:
         raise ValueError(f"unknown expansion {args.what!r}")
+    series = expansions[what](order)
     _emit(
         {"what": args.what, "order": str(order), "series": _series_payload(series, args.format)},
         args.format,
@@ -160,23 +174,9 @@ def _verify_prop31(order, _skip, kmax):
 
 
 def _canonical_words(max_added):
-    words = []
-    for total in range(1, max_added + 1):
-        for part in _weight_partitions(total):
-            words.append(tuple(-p for p in part))
-    return words
-
-
-def _weight_partitions(total, largest=None):
-    if largest is None:
-        largest = total
-    if total == 0:
-        return [()]
-    out = []
-    for p in range(min(total, largest), 0, -1):
-        for rest in _weight_partitions(total - p, p):
-            out.append((p,) + rest)
-    return out
+    """L[-p1] ... L[-pk] for every partition p1 >= ... >= pk of 1..max_added."""
+    return [tuple(-p for p in part) for total in range(1, max_added + 1)
+            for part in fock._partitions(total, list(range(total, 0, -1)))]
 
 
 def _verify_ideal(order, _skip, L):
@@ -205,25 +205,29 @@ def _verify_ideal(order, _skip, L):
 
 def _cmd_verify(args) -> int:
     name, _, suffix = args.identity.partition(":")
+    # name -> (check, default parameter, largest parameter)
     checks = {
-        "theta-quartic": (_verify_theta_quartic, None),
-        "theta-eta-quotients": (_verify_theta_eta_quotients, None),
-        "serre-delta-zero": (_verify_serre_delta, None),
-        "fock-oracle": (_verify_fock_oracle, 24),
-        "twisted-oracle": (_verify_twisted_oracle, 24),
-        "equivariant-identity-case": (_verify_equivariant_identity, 24),
-        "prop31": (_verify_prop31, 5),
-        "ideal": (_verify_ideal, 24),
+        "theta-quartic": (_verify_theta_quartic, None, None),
+        "theta-eta-quotients": (_verify_theta_eta_quotients, None, None),
+        "serre-delta-zero": (_verify_serre_delta, None, None),
+        "fock-oracle": (_verify_fock_oracle, 24, MAX_NORM),
+        "twisted-oracle": (_verify_twisted_oracle, 24, MAX_NORM),
+        "equivariant-identity-case": (_verify_equivariant_identity, 24, MAX_NORM),
+        "prop31": (_verify_prop31, 5, MAX_K),
+        "ideal": (_verify_ideal, 24, MAX_NORM),
     }
     if name not in checks:
         raise ValueError(f"unknown identity {args.identity!r}")
-    func, default_arg = checks[name]
+    func, default_arg, limit = checks[name]
     if default_arg is None:
         if suffix:
             raise ValueError(f"identity {name!r} takes no parameter")
         ok, certified, routes = func(args.order, args.skip_oracle)
     else:
         arg = int(suffix) if suffix else default_arg
+        # a negative prop31:KMAX would check nothing and pass vacuously
+        if not 0 <= arg <= limit:
+            raise ValueError(f"the parameter of {name!r} must lie in 0..{limit}")
         ok, certified, routes = func(args.order, args.skip_oracle, arg)
     status = "skipped" if ok is None else ("ok" if ok else "fail")
     payload = {
@@ -307,8 +311,8 @@ def _cmd_spaces(args) -> int:
 def _build_parser() -> argparse.ArgumentParser:
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument(
-        "--order", type=_fraction, default=Fraction(20),
-        help="q-expansion truncation order (default 20)",
+        "--order", type=_bounded(MAX_ORDER, _fraction), default=Fraction(20),
+        help=f"q-expansion truncation order (default 20, at most {MAX_ORDER})",
     )
     common.add_argument(
         "--format", choices=("json", "text"), default="json",
@@ -342,26 +346,30 @@ def _build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=_cmd_verify)
 
     p = sub.add_parser("vacuum-trace", parents=[common], help="vacuum descendant trace")
-    p.add_argument("--k", type=int, required=True, help="number of weight-2 modes")
+    p.add_argument("--k", type=_bounded(MAX_K), required=True,
+                   help=f"number of weight-2 modes (at most {MAX_K})")
     p.set_defaults(func=_cmd_vacuum_trace)
 
     p = sub.add_parser(
         "lattice-trace", parents=[common],
         help="two-sector trace for a norm, with its cusp-space fit",
     )
-    p.add_argument("--norm", type=int, required=True, help="norm <lambda,lambda>")
+    p.add_argument("--norm", type=_bounded(MAX_NORM), required=True,
+                   help=f"norm <lambda,lambda> (at most {MAX_NORM})")
     p.set_defaults(func=_cmd_lattice_trace)
 
     p = sub.add_parser(
         "equivariant", parents=[common], help="equivariant trace from a spec file"
     )
     p.add_argument("--spec", required=True, help="path to an EquivariantSpec JSON file")
-    p.add_argument("--norm", type=int, required=True, help="exponent L")
+    p.add_argument("--norm", type=_bounded(MAX_NORM), required=True,
+                   help=f"exponent L (at most {MAX_NORM})")
     p.set_defaults(func=_cmd_equivariant)
 
     p = sub.add_parser("spaces", parents=[common], help="print a form-space basis")
     p.add_argument("--kind", choices=("M", "S", "F"), required=True)
-    p.add_argument("--weight", type=int, required=True)
+    p.add_argument("--weight", type=_bounded(MAX_WEIGHT), required=True,
+                   help=f"weight (at most {MAX_WEIGHT} in absolute value)")
     p.set_defaults(func=_cmd_spaces)
 
     return parser
@@ -375,6 +383,9 @@ def main(argv=None) -> int:
     except (OSError, json.JSONDecodeError) as exc:
         print(f"input error: {exc}", file=sys.stderr)
         return 2
+    except RouteDisagreement as exc:
+        print(f"identity failed: {exc}", file=sys.stderr)
+        return 1
     except (ValueError, TruncationError, ArithmeticError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

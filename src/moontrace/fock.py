@@ -29,7 +29,7 @@ import warnings
 from fractions import Fraction
 
 from . import modular
-from .qseries import MarkerPoly, MarkerSeries, RationalSeries
+from .qseries import MarkerPoly, MarkerSeries, RationalSeries, RouteDisagreement
 
 __all__ = [
     "closed_trace_A",
@@ -202,7 +202,7 @@ def _diag(state, L: int) -> Fraction:
     plus = _diag_entry(state, L, +1)
     minus = _diag_entry(state, L, -1)
     if plus != minus:
-        raise ArithmeticError(f"E^+(0) and E^-(0) disagree on {state}")
+        raise RouteDisagreement(f"E^+(0) and E^-(0) disagree on {state}")
     return plus
 
 
@@ -308,7 +308,7 @@ def z_untwisted(L: int, order) -> RationalSeries:
     e1 = modular.eta(head)
     quotient = (e1.rescale(2).pow_int(2 * L - 24) * e1.pow_int(24 - L)).truncate(order)
     if theta_form != quotient:
-        raise ArithmeticError("untwisted closed forms disagree")
+        raise RouteDisagreement("untwisted closed forms disagree")
     return theta_form
 
 
@@ -326,7 +326,7 @@ def z_twisted(L: int, order) -> RationalSeries:
     t3 = (modular.theta(3, head) / 2).pow_int(L - 12)
     out = (modular.eta(head).pow_int(12) * (t2 - t3)).truncate(order)
     if any(e.denominator != 1 for e in out.support()):
-        raise ArithmeticError("half-integer exponents failed to cancel in z_twisted")
+        raise RouteDisagreement("half-integer exponents failed to cancel in z_twisted")
     return out
 
 
@@ -340,7 +340,7 @@ def z_total(L: int, order) -> RationalSeries:
     out = z_untwisted(L, order) + z_twisted(L, order)
     realizable = L >= 16 and L % 8 == 0
     if realizable and any(e.denominator != 1 for e in out.support()):
-        raise ArithmeticError("half-integer exponents failed to cancel in z_total")
+        raise RouteDisagreement("half-integer exponents failed to cancel in z_total")
     return out
 
 

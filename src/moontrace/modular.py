@@ -12,6 +12,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cache
 from math import factorial
 
 from . import _linalg
@@ -30,26 +31,25 @@ __all__ = [
     "fit",
 ]
 
-_bernoulli_cache: list[Fraction] = []
+@cache
+def _bernoulli_table(top: int) -> tuple:
+    f = RationalSeries.from_terms(
+        {j: Fraction(1, factorial(j + 1)) for j in range(top + 1)}, top + 1
+    )
+    g = f.invert()
+    return tuple(g.coeff(j) * factorial(j) for j in range(top + 1))
 
 
 def bernoulli(k: int) -> Fraction:
     """k-th Bernoulli number from the t/(e^t - 1) generating function.
 
     Computed by inverting the series (e^t - 1)/t = sum t^j/(j+1)!; the
-    convention gives bernoulli(1) = -1/2.
+    convention gives bernoulli(1) = -1/2.  Tables cover indices up to a power
+    of two, so a new table is built only when k doubles.
     """
     if k < 0:
         raise ValueError("Bernoulli index must be nonnegative")
-    global _bernoulli_cache
-    if k >= len(_bernoulli_cache):
-        top = max(k, 2 * len(_bernoulli_cache), 16)
-        f = RationalSeries.from_terms(
-            {j: Fraction(1, factorial(j + 1)) for j in range(top + 1)}, top + 1
-        )
-        g = f.invert()
-        _bernoulli_cache = [g.coeff(j) * factorial(j) for j in range(top + 1)]
-    return _bernoulli_cache[k]
+    return _bernoulli_table(max(16, 1 << k.bit_length()))[k]
 
 
 def _sigma(power: int, n: int) -> int:
@@ -70,24 +70,22 @@ def eisenstein(k: int, order) -> RationalSeries:
     return RationalSeries.from_terms(terms, order)
 
 
-def _product(factors, order) -> RationalSeries:
-    acc = RationalSeries.one(order)
-    for f in factors:
-        acc = acc * f
-    return acc
-
-
 def eta(order) -> RationalSeries:
-    """Dedekind eta q^{1/24} * prod_{n>=1} (1 - q^n), truncated at `order`."""
+    """Dedekind eta q^{1/24} prod_{n>=1} (1 - q^n), truncated at `order`.
+
+    Summed by Euler's pentagonal number theorem,
+    prod (1 - q^n) = sum_{k in Z} (-1)^k q^{k(3k-1)/2}, in O(order) terms.
+    """
     order = Fraction(order)
     if order <= 0:
         raise TruncationError("eta needs a positive truncation order")
-    factors = []
-    n = 1
-    while n < order:
-        factors.append(RationalSeries.from_terms({0: 1, n: -1}, order))
-        n += 1
-    return _product(factors, order)._shift(Fraction(1, 24)).truncate(order)
+    terms = {}
+    k = 0
+    while k * (3 * k - 1) // 2 + Fraction(1, 24) < order:
+        for p in (k * (3 * k - 1) // 2, k * (3 * k + 1) // 2):
+            terms[p + Fraction(1, 24)] = (-1) ** k
+        k += 1
+    return RationalSeries.from_terms(terms, order)
 
 
 def delta(order) -> RationalSeries:
@@ -97,37 +95,25 @@ def delta(order) -> RationalSeries:
 
 
 def theta(which: int, order) -> RationalSeries:
-    """Theta constants in product form, on the (1/8)Z exponent lattice.
+    """Theta constants on the (1/8)Z exponent lattice, summed in O(order) terms.
 
-    theta(1) = 2 q^{1/8} prod (1-q^n)(1+q^n)^2
-    theta(2) =           prod (1-q^n)(1-q^{n-1/2})^2
-    theta(3) =           prod (1-q^n)(1+q^{n-1/2})^2
+    The Jacobi triple product turns each product into a sum over Z:
+    theta(1) = 2 q^{1/8} prod (1-q^n)(1+q^n)^2     = 2 sum_{n>=0} q^{(2n+1)^2/8}
+    theta(2) =           prod (1-q^n)(1-q^{n-1/2})^2 = sum_{n in Z} (-1)^n q^{n^2/2}
+    theta(3) =           prod (1-q^n)(1+q^{n-1/2})^2 = sum_{n in Z} q^{n^2/2}
     """
     if which not in (1, 2, 3):
         raise ValueError("theta index must be 1, 2, or 3")
     order = Fraction(order)
     if order <= 0:
         raise TruncationError("theta needs a positive truncation order")
-    factors = []
-    n = 1
-    while n < order:
-        factors.append(RationalSeries.from_terms({0: 1, n: -1}, order))
+    terms = {}
+    n = 0
+    while (e := Fraction((2 * n + 1) ** 2, 8) if which == 1 else Fraction(n * n, 2)) < order:
+        sign = -1 if which == 2 and n % 2 else 1
+        terms[e] = sign if which != 1 and n == 0 else 2 * sign
         n += 1
-    if which == 1:
-        n = 1
-        while n < order:
-            f = RationalSeries.from_terms({0: 1, n: 1}, order)
-            factors.extend((f, f))
-            n += 1
-        out = _product(factors, order)._shift(Fraction(1, 8)) * 2
-        return out.truncate(order)
-    sign = -1 if which == 2 else 1
-    n = 1
-    while Fraction(2 * n - 1, 2) < order:
-        f = RationalSeries.from_terms({Fraction(2 * n - 1, 2): sign, 0: 1}, order)
-        factors.extend((f, f))
-        n += 1
-    return _product(factors, order)
+    return RationalSeries.from_terms(terms, order)
 
 
 def jfunction(order) -> RationalSeries:

@@ -15,10 +15,11 @@ Two series types share the arithmetic core:
 from __future__ import annotations
 
 from fractions import Fraction
-from math import gcd
+from math import gcd, lcm
 
 __all__ = [
     "TruncationError",
+    "RouteDisagreement",
     "MarkerPoly",
     "RationalSeries",
     "MarkerSeries",
@@ -27,6 +28,10 @@ __all__ = [
 
 class TruncationError(ValueError):
     """A computation needs coefficients beyond the known truncation order."""
+
+
+class RouteDisagreement(ArithmeticError):
+    """Two independent routes to the same quantity disagree: an identity failed."""
 
 
 def _as_fraction(x) -> Fraction:
@@ -123,23 +128,35 @@ class MarkerPoly:
         return acc
 
     def __repr__(self) -> str:
-        if not self.coeffs:
-            return "MarkerPoly(0)"
-        parts = []
-        for d, c in enumerate(self.coeffs):
-            if not c:
-                continue
-            if d == 0:
-                parts.append(str(c))
-            elif d == 1:
-                parts.append(f"{c}*x")
-            else:
-                parts.append(f"{c}*x^{d}")
-        return "MarkerPoly(" + " + ".join(parts) + ")"
+        parts = [str(c) if d == 0 else f"{c}*x" if d == 1 else f"{c}*x^{d}"
+                 for d, c in enumerate(self.coeffs) if c]
+        return "MarkerPoly(" + (" + ".join(parts) or "0") + ")"
 
 
-def _lcm(a: int, b: int) -> int:
-    return a * b // gcd(a, b)
+def _ceil_scaled(order: Fraction, denom: int) -> int:
+    """Exponents k/denom below `order` are exactly the integers k below this."""
+    return -(-order.numerator * denom // order.denominator)
+
+
+def _numerators(terms: dict, step: int, stride: int):
+    """Clear {offset: digits} to one denominator, laid out densely.
+
+    Digit j of the term at offset e lands at index (e // step) * stride + j.
+    """
+    den = lcm(*(x.denominator for digits in terms.values() for x in digits))
+    out = [0] * ((max(terms) // step + 1) * stride)
+    for e, digits in terms.items():
+        base = e // step * stride
+        for j, x in enumerate(digits):
+            out[base + j] = x.numerator * (den // x.denominator)
+    return den, out
+
+
+def _pack(nums: list, width: int) -> int:
+    """sum nums[i] * 256^(width*i) for signed nums, built from byte strings."""
+    pos = b"".join((n if n > 0 else 0).to_bytes(width, "little") for n in nums)
+    neg = b"".join((-n if n < 0 else 0).to_bytes(width, "little") for n in nums)
+    return int.from_bytes(pos, "little") - int.from_bytes(neg, "little")
 
 
 class _SeriesBase:
@@ -147,51 +164,22 @@ class _SeriesBase:
 
     __slots__ = ("denom", "terms", "order")
 
-    # subclass hooks -------------------------------------------------------
-    @staticmethod
-    def _wrap(c):
-        raise NotImplementedError
+    # subclasses define _wrap (a value as a coefficient) and _digits /
+    # _from_digits (a coefficient to and from its tuple of Fraction digits,
+    # one per marker degree), which is all the product kernel needs
 
-    @staticmethod
-    def _recip(c):
-        raise NotImplementedError
-
-    def __init__(self, denom, terms, order, _raw=False):
-        # internal: terms is dict[int scaled exponent -> coeff]
-        order = _as_fraction(order)
-        if _raw:
-            d, t = denom, terms
-        else:
-            d, t = self._normalize(denom, terms, order)
-        self.denom = d
-        self.terms = t
-        self.order = order
-
-    @classmethod
-    def _normalize(cls, denom, terms, order):
+    def __init__(self, denom: int, terms: dict, order):
+        """sum terms[k] q^(k/denom) + O(q^order), normalized: zero terms and
+        terms at or beyond the order are dropped, and denom is reduced to the
+        coarsest lattice that holds the rest."""
         if denom <= 0:
             raise ValueError("denominator must be positive")
-        t = {e: c for e, c in terms.items() if c and Fraction(e, denom) < order}
-        if not t:
-            return 1, {}
-        g = denom
-        for e in t:
-            g = gcd(g, e)
-            if g == 1:
-                break
-        if g > 1:
-            t = {e // g: c for e, c in t.items()}
-            denom //= g
-        return denom, t
-
-    @classmethod
-    def _make(cls, denom, terms, order):
-        d, t = cls._normalize(denom, terms, order)
-        obj = cls.__new__(cls)
-        obj.denom = d
-        obj.terms = t
-        obj.order = _as_fraction(order)
-        return obj
+        self.order = _as_fraction(order)
+        limit = _ceil_scaled(self.order, denom)
+        terms = {e: c for e, c in terms.items() if c and e < limit}
+        g = gcd(denom, *terms)
+        self.denom = denom // g
+        self.terms = {e // g: c for e, c in terms.items()} if g > 1 else terms
 
     # constructors ---------------------------------------------------------
     @classmethod
@@ -199,18 +187,16 @@ class _SeriesBase:
         """Build from {exponent: coefficient}; exponents rational."""
         items = terms.items() if hasattr(terms, "items") else terms
         pairs = [(_as_fraction(e), cls._wrap(c)) for e, c in items]
-        denom = 1
-        for e, _ in pairs:
-            denom = _lcm(denom, e.denominator)
+        denom = lcm(*(e.denominator for e, _ in pairs))
         scaled = {}
         for e, c in pairs:
             k = int(e * denom)
             scaled[k] = scaled.get(k, cls._wrap(0)) + c
-        return cls._make(denom, scaled, order)
+        return cls(denom, scaled, order)
 
     @classmethod
     def zero(cls, order):
-        return cls._make(1, {}, order)
+        return cls(1, {}, order)
 
     @classmethod
     def one(cls, order):
@@ -246,7 +232,7 @@ class _SeriesBase:
 
     # alignment --------------------------------------------------------------
     def _aligned(self, other):
-        d = _lcm(self.denom, other.denom)
+        d = lcm(self.denom, other.denom)
         fa, fb = d // self.denom, d // other.denom
         ta = self.terms if fa == 1 else {e * fa: c for e, c in self.terms.items()}
         tb = other.terms if fb == 1 else {e * fb: c for e, c in other.terms.items()}
@@ -262,12 +248,12 @@ class _SeriesBase:
         out = dict(ta)
         for e, c in tb.items():
             out[e] = out.get(e, self._wrap(0)) + c
-        return self._make(d, out, min(self.order, other.order))
+        return type(self)(d, out, min(self.order, other.order))
 
     __radd__ = __add__
 
     def __neg__(self):
-        return self._make(self.denom, {e: -c for e, c in self.terms.items()}, self.order)
+        return type(self)(self.denom, {e: -c for e, c in self.terms.items()}, self.order)
 
     def __sub__(self, other):
         if isinstance(other, (int, Fraction)):
@@ -282,8 +268,50 @@ class _SeriesBase:
     def _cmul(self, c):
         """Scale every coefficient by c (a coefficient-type or rational value)."""
         if not c:
-            return self._make(1, {}, self.order)
-        return self._make(self.denom, {e: v * c for e, v in self.terms.items()}, self.order)
+            return type(self)(1, {}, self.order)
+        return type(self)(self.denom, {e: v * c for e, v in self.terms.items()}, self.order)
+
+    @classmethod
+    def _product(cls, ta: dict, tb: dict, limit: int) -> dict:
+        """Exact product of two term dicts on one exponent lattice, below `limit`.
+
+        Kronecker substitution: each operand is cleared to one integer
+        denominator and its numerators become the base-256^width digits of a
+        single integer, the marker degree j of exponent slot i at digit
+        i * stride + j.  One big-integer product then holds every coefficient;
+        the width leaves room for the signed digit sums, which are read back
+        through a bias of half a digit.
+        """
+        if not ta or not tb:
+            return {}
+        lo_a, lo_b = min(ta), min(tb)
+        base = lo_a + lo_b
+        if base >= limit:
+            return {}
+        ta = {e - lo_a: cls._digits(c) for e, c in ta.items() if e + lo_b < limit}
+        tb = {e - lo_b: cls._digits(c) for e, c in tb.items() if e + lo_a < limit}
+        step = gcd(*ta, *tb) or 1
+        stride = max(map(len, ta.values())) + max(map(len, tb.values())) - 1
+        den_a, xa = _numerators(ta, step, stride)
+        den_b, xb = _numerators(tb, step, stride)
+        bits = (max(map(abs, xa)).bit_length() + max(map(abs, xb)).bit_length()
+                + min(len(xa), len(xb)).bit_length())
+        width = bits // 8 + 1
+        slots = min((limit - base - 1) // step + 1, (len(xa) + len(xb)) // stride - 1)
+        n = slots * stride
+        half = 1 << (8 * width - 1)
+        bias = int.from_bytes((bytes(width - 1) + b"\x80") * n, "little")
+        packed = (_pack(xa, width) * _pack(xb, width) + bias) & ((1 << 8 * width * n) - 1)
+        raw = packed.to_bytes(width * n, "little")
+        den = den_a * den_b
+        out = {}
+        for i in range(slots):
+            at = i * stride * width
+            digits = [int.from_bytes(raw[k:k + width], "little") - half
+                      for k in range(at, at + stride * width, width)]
+            if any(digits):
+                out[base + i * step] = cls._from_digits([Fraction(x, den) for x in digits])
+        return out
 
     def __mul__(self, other):
         if isinstance(other, (int, Fraction)):
@@ -293,15 +321,7 @@ class _SeriesBase:
         # sound order: each factor's unknown tail enters at order + other's valuation
         bound = min(self.order + other.valuation(), other.order + self.valuation())
         d, ta, tb = self._aligned(other)
-        scaled_bound = bound * d
-        out = {}
-        zero = self._wrap(0)
-        for e1, c1 in ta.items():
-            for e2, c2 in tb.items():
-                e = e1 + e2
-                if e < scaled_bound:
-                    out[e] = out.get(e, zero) + c1 * c2
-        return self._make(d, out, bound)
+        return type(self)(d, self._product(ta, tb, _ceil_scaled(bound, d)), bound)
 
     __rmul__ = __mul__
 
@@ -334,36 +354,37 @@ class _SeriesBase:
     def _shift(self, e: Fraction):
         """Multiply by q^e exactly (pure reindexing; no knowledge change)."""
         e = _as_fraction(e)
-        d = _lcm(self.denom, e.denominator)
+        d = lcm(self.denom, e.denominator)
         f = d // self.denom
         k = int(e * d)
-        return self._make(d, {x * f + k: c for x, c in self.terms.items()}, self.order + e)
+        return type(self)(d, {x * f + k: c for x, c in self.terms.items()}, self.order + e)
 
     def invert(self):
         """Multiplicative inverse.
 
         Requires a nonzero leading term with an invertible coefficient.  For a
         series of valuation v and order o the inverse is sound through o - 2v.
+        Newton iteration doubles the known precision p of g = 1/b each step:
+        if b g = 1 mod q^p then b g (2 - b g) = 1 mod q^{2p}.
         """
         if not self.terms:
             raise TruncationError("cannot invert a series with no known nonzero term")
         v = self.valuation()
-        lead = self.terms[int(v * self.denom)]
-        recip = self._recip(lead)
+        lead = self._digits(self.terms[int(v * self.denom)])
+        if len(lead) != 1:
+            raise ValueError("cannot invert a marker-dependent leading coefficient")
+        recip = 1 / lead[0]
         # b = 1 + u with val(u) > 0, known through order - v
         b = self._shift(-v)._cmul(recip)
-        target = b.order
-        zero_key_denom = b.terms.copy()
-        zero_key_denom.pop(0, None)
-        u = self._make(b.denom, zero_key_denom, target)
-        acc = self.one(target)
-        t = self.one(target)
-        while True:
-            t = (t * (-u)).truncate(target)
-            if not t.terms:
-                break
-            acc = acc + t
-        return acc._shift(-v)._cmul(recip)
+        limit = _ceil_scaled(b.order, b.denom)
+        g = {0: self._wrap(1)}
+        p = min((e for e in b.terms if e), default=limit)
+        while p < limit:
+            p = min(2 * p, limit)
+            # 1 - b g vanishes below the old precision, so g * (1 - b g) only adds terms
+            err = {e: -c for e, c in self._product(b.terms, g, p).items() if e}
+            g.update(self._product(g, err, p))
+        return type(self)(b.denom, g, b.order)._shift(-v)._cmul(recip)
 
     def exp_series(self):
         """exp of a series with positive valuation (order preserved)."""
@@ -372,21 +393,17 @@ class _SeriesBase:
         target = self.order
         if target <= 0:
             raise TruncationError("exp_series needs a positive truncation order")
-        acc = self.one(target)
-        t = self.one(target)
-        k = 0
-        while True:
-            k += 1
-            t = (t * self).truncate(target)._cmul(Fraction(1, k))
-            if not t.terms:
-                break
+        acc = t = self.one(target)
+        k = 1
+        while (t := (t * self).truncate(target)._cmul(Fraction(1, k))).terms:
             acc = acc + t
+            k += 1
         return acc
 
     def q_derive(self):
         """Apply q * d/dq (each term scales by its exponent)."""
         out = {e: c * Fraction(e, self.denom) for e, c in self.terms.items() if e}
-        return self._make(self.denom, out, self.order)
+        return type(self)(self.denom, out, self.order)
 
     def rescale(self, r):
         """Substitute q -> q^r for rational r > 0 (a ring map; order scales)."""
@@ -395,12 +412,12 @@ class _SeriesBase:
             raise ValueError("rescale factor must be positive")
         d = self.denom * r.denominator
         out = {e * r.numerator: c for e, c in self.terms.items()}
-        return self._make(d, out, self.order * r)
+        return type(self)(d, out, self.order * r)
 
     def truncate(self, order):
         """Weaken the truncation order (never claims new knowledge)."""
         order = min(self.order, _as_fraction(order))
-        return self._make(self.denom, self.terms, order)
+        return type(self)(self.denom, self.terms, order)
 
     # comparison -----------------------------------------------------------
     def __eq__(self, other) -> bool:
@@ -419,9 +436,7 @@ class _SeriesBase:
 
     def __repr__(self):
         name = type(self).__name__
-        parts = []
-        for e in sorted(self.terms)[:8]:
-            parts.append(f"q^{Fraction(e, self.denom)}: {self.terms[e]}")
+        parts = [f"q^{Fraction(e, self.denom)}: {self.terms[e]}" for e in sorted(self.terms)[:8]]
         more = ", ..." if len(self.terms) > 8 else ""
         return f"{name}({{{', '.join(parts)}{more}}}, order={self.order})"
 
@@ -431,15 +446,9 @@ class RationalSeries(_SeriesBase):
 
     __slots__ = ()
 
-    @staticmethod
-    def _wrap(c):
-        return _as_fraction(c)
-
-    @staticmethod
-    def _recip(c):
-        if not c:
-            raise ZeroDivisionError("zero leading coefficient")
-        return Fraction(1, 1) / c
+    _wrap = staticmethod(_as_fraction)
+    _digits = staticmethod(lambda c: (c,))
+    _from_digits = staticmethod(lambda digits: digits[0])
 
     def __str__(self):
         if not self.terms:
@@ -458,7 +467,7 @@ class RationalSeries(_SeriesBase):
 
     # canonical JSON interchange -------------------------------------------
     def to_json_obj(self) -> dict:
-        d = _lcm(self.denom, self.order.denominator)
+        d = lcm(self.denom, self.order.denominator)
         f = d // self.denom
         terms = [
             {"exp_num": e * f, "coeff": str(self.terms[e])}
@@ -473,7 +482,7 @@ class RationalSeries(_SeriesBase):
             raise ValueError("denominator must be positive")
         order = Fraction(int(obj["order_num"]), d)
         terms = {int(t["exp_num"]): Fraction(t["coeff"]) for t in obj["terms"]}
-        return cls._make(d, terms, order)
+        return cls(d, terms, order)
 
 
 class MarkerSeries(_SeriesBase):
@@ -487,16 +496,13 @@ class MarkerSeries(_SeriesBase):
             return c
         return MarkerPoly.const(_as_fraction(c))
 
-    @staticmethod
-    def _recip(c):
-        if c.degree == 0:
-            return MarkerPoly.const(Fraction(1, 1) / c.coeffs[0])
-        raise ValueError("cannot invert a marker-dependent leading coefficient")
+    _digits = staticmethod(lambda c: c.coeffs)
+    _from_digits = MarkerPoly
 
     @classmethod
     def from_rational(cls, series: RationalSeries) -> "MarkerSeries":
         terms = {e: MarkerPoly.const(c) for e, c in series.terms.items()}
-        return cls._make(series.denom, terms, series.order)
+        return cls(series.denom, terms, series.order)
 
     def marker_bound(self) -> int:
         """Largest marker degree appearing in any known coefficient."""
@@ -508,4 +514,4 @@ class MarkerSeries(_SeriesBase):
         if x0 not in (1, -1):
             raise ValueError("marker evaluation is only supported at +1 and -1")
         out = {e: c.eval(x0) for e, c in self.terms.items()}
-        return RationalSeries._make(self.denom, out, self.order)
+        return RationalSeries(self.denom, out, self.order)

@@ -15,9 +15,11 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cache
+from types import MappingProxyType
 
 from . import modular
-from .qseries import RationalSeries, TruncationError
+from .qseries import RationalSeries, RouteDisagreement, TruncationError
 
 __all__ = [
     "HighestWeight",
@@ -102,16 +104,12 @@ class VirCombo:
         }
 
 
-_reduce_cache: dict = {}
+@cache
+def _reduce(word: VirWord, hw: HighestWeight) -> MappingProxyType:
+    """Straighten `word` acting on the hw vector; returns {canonical word: coeff}.
 
-
-def _reduce(word: VirWord, hw: HighestWeight) -> dict:
-    """Straighten `word` acting on the hw vector; returns {canonical word: coeff}."""
-    key = (word, hw)
-    cached = _reduce_cache.get(key)
-    if cached is not None:
-        return cached
-
+    The result is cached, so it is handed out as a read-only mapping.
+    """
     if not word:
         out = {(): Fraction(1)}
     else:
@@ -142,9 +140,7 @@ def _reduce(word: VirWord, hw: HighestWeight) -> dict:
                     for w, c in central.items():
                         out[w] = out.get(w, Fraction(0)) + scale * c
                 out = {w: c for w, c in out.items() if c}
-
-    _reduce_cache[key] = out
-    return out
+    return MappingProxyType(out)
 
 
 def normal_order(word, hw: HighestWeight) -> VirCombo:
@@ -178,7 +174,7 @@ def compute_nl(k: int, l: int) -> Fraction:
     expected = (-2,) * (k - l)
     stray = set(combo) - {expected}
     if stray:
-        raise ArithmeticError(f"L[{2*l-2}] on L[-2]^{k-1} is not a multiple of L[-2]^{k-l}")
+        raise RouteDisagreement(f"L[{2*l-2}] on L[-2]^{k-1} is not a multiple of L[-2]^{k-l}")
     return combo.get(expected, Fraction(0))
 
 

@@ -181,3 +181,76 @@ def test_order_must_be_at_least_one(capsys):
     with pytest.raises(SystemExit):
         cli.main(["expand", "--what", "delta", "--order", "1/2"])
     capsys.readouterr()
+
+
+def exit_code(capsys, *argv):
+    """Exit status of a request, whether main returns it or argparse exits."""
+    try:
+        code = cli.main(list(argv))
+    except SystemExit as exc:
+        code = exc.code
+    out, err = capsys.readouterr()
+    return code, out, err
+
+
+def test_prop31_negative_kmax_refused(capsys):
+    # range(KMAX + 1) is empty for KMAX < 0: the check would pass vacuously
+    code, out, err = exit_code(capsys, "verify", "--identity", "prop31:-1")
+    assert code == 2
+    assert out == "" and "0..32" in err
+
+
+def test_route_disagreement_exits_1(capsys, monkeypatch):
+    # one route to the untwisted sector disagrees with the other: a failed
+    # identity (exit 1), not an input error (exit 2)
+    from moontrace import modular
+    theta = modular.theta
+    monkeypatch.setattr(modular, "theta", lambda which, order: theta(which, order) * 3)
+    code, out, err = exit_code(capsys, "lattice-trace", "--norm", "24", "--order", "4")
+    assert code == 1
+    assert out == "" and "identity failed" in err
+
+
+@pytest.mark.parametrize("argv", [
+    ("expand", "--what", "delta", "--order", str(cli.MAX_ORDER + 1)),
+    ("vacuum-trace", "--k", str(cli.MAX_K + 1)),
+    ("lattice-trace", "--norm", str(cli.MAX_NORM + 2)),
+    ("equivariant", "--spec", "spec.json", "--norm", "100000"),
+    ("spaces", "--kind", "M", "--weight", str(cli.MAX_WEIGHT + 2)),
+    ("verify", "--identity", f"ideal:{cli.MAX_NORM + 8}"),
+    ("verify", "--identity", f"prop31:{cli.MAX_K + 1}"),
+])
+def test_unbounded_input_refused_before_work(capsys, monkeypatch, argv):
+    from moontrace import fock, lattice, modular, virasoro
+
+    def no_work(*_args, **_kwargs):
+        raise AssertionError("work started on refused input")
+    for module, name in ((modular, "delta"), (virasoro, "vacuum_zpoint"), (fock, "z_total"),
+                         (lattice.EquivariantSpec, "load"), (modular, "space_basis")):
+        monkeypatch.setattr(module, name, no_work)
+    code, out, _ = exit_code(capsys, *argv)
+    assert code == 2 and out == ""
+
+
+def test_input_limits_accept_their_bounds():
+    parser = cli._build_parser()
+    args = parser.parse_args(["vacuum-trace", "--k", str(cli.MAX_K),
+                              "--order", str(cli.MAX_ORDER)])
+    assert args.k == cli.MAX_K and args.order == cli.MAX_ORDER
+    assert parser.parse_args(["lattice-trace", "--norm", str(cli.MAX_NORM)]).norm == cli.MAX_NORM
+    assert parser.parse_args(["spaces", "--kind", "F", "--weight",
+                              str(-cli.MAX_WEIGHT)]).weight == -cli.MAX_WEIGHT
+
+
+@pytest.mark.parametrize("argv", [
+    ("expand", "--what", "bogus"),
+    ("expand", "--what", "delta", "--order", "0"),
+    ("verify", "--identity", "no-such-identity"),
+    ("vacuum-trace", "--k", "-1"),
+    ("lattice-trace", "--norm", "7"),
+    ("spaces", "--kind", "S", "--weight", "3"),
+    ("equivariant", "--spec", "no-such-spec.json", "--norm", "16"),
+])
+def test_malformed_requests_exit_2(capsys, argv):
+    code, out, _ = exit_code(capsys, *argv)
+    assert code == 2 and out == ""

@@ -2,7 +2,9 @@ import random
 from fractions import Fraction as F
 
 import pytest
+import reference_series as reference
 
+from moontrace import modular
 from moontrace.qseries import MarkerPoly, MarkerSeries, RationalSeries, TruncationError
 
 DENOMS = (1, 2, 8, 24, 48)
@@ -272,3 +274,72 @@ def test_marker_series_mul_matches_eval():
         b = MarkerSeries.from_rational(rb)
         for x0 in (1, -1):
             assert (a * b).eval_marker(x0) == (ra * rb) * F(x0)
+
+
+# --- differential checks against the reference kernel -----------------------
+
+MIXED_DENOMS = (1, 2, 3, 8, 24)
+
+
+def rand_coeff(rng):
+    """A small rational, or now and then one with a few hundred bits."""
+    if rng.random() < 0.2:
+        return F(rng.randrange(-2**300, 2**300), rng.choice((1, 3, 2**64 + 13)))
+    return F(rng.randrange(-9, 10), rng.choice((1, 2, 3, 7, 720)))
+
+
+def rand_kernel_series(rng, cls, lo=-3, hi=6, max_terms=8, const_lead=False):
+    """Random series on a mixed denominator; negative valuations; sometimes zero."""
+    d = rng.choice(MIXED_DENOMS)
+    terms = {}
+    for _ in range(rng.randrange(0, max_terms)):
+        e = F(rng.randrange(lo * d, hi * d), d)
+        if cls is MarkerSeries:
+            terms[e] = MarkerPoly([rand_coeff(rng) for _ in range(rng.randrange(1, 4))])
+        else:
+            terms[e] = rand_coeff(rng)
+    order = F(rng.randrange(lo * d, hi * d + d), d)
+    s = cls.from_terms(terms, order)
+    if const_lead and cls is MarkerSeries and not s.is_zero():
+        lead = s.valuation()
+        s = s - cls.monomial(s.coeff(lead), lead, order) + cls.monomial(rand_coeff(rng) or 1, lead, order)
+    return s
+
+
+def same(a, b):
+    return (a.denom, a.terms, a.order) == (b.denom, b.terms, b.order)
+
+
+@pytest.mark.parametrize("cls", [RationalSeries, MarkerSeries])
+def test_mul_matches_reference_kernel(cls):
+    rng = random.Random(4046)
+    for _ in range(300):
+        a = rand_kernel_series(rng, cls)
+        b = rand_kernel_series(rng, cls)
+        assert same(a * b, reference.mul(a, b)), (a, b)
+    # zero operands: the product is empty but its order is still sound
+    a = rand_kernel_series(rng, cls, max_terms=1) + cls.monomial(5, F(-1, 3), 4)
+    for zero in (cls.zero(F(7, 2)), cls.zero(-2)):
+        assert same(a * zero, reference.mul(a, zero)) and (a * zero).is_zero()
+        assert same(zero * zero, reference.mul(zero, zero))
+
+
+@pytest.mark.parametrize("cls", [RationalSeries, MarkerSeries])
+def test_invert_matches_reference_kernel(cls):
+    rng = random.Random(1978)
+    checked = 0
+    while checked < 40:
+        s = rand_kernel_series(rng, cls, lo=-1, hi=2, const_lead=True)
+        if s.is_zero():
+            with pytest.raises(TruncationError):
+                s.invert()
+            continue
+        assert same(s.invert(), reference.invert(s)), s
+        checked += 1
+
+
+@pytest.mark.parametrize("order", [F(1, 3), F(7, 2), 41, 90])
+def test_eta_theta_sums_match_products(order):
+    assert same(modular.eta(order), reference.eta_product(order))
+    for which in (1, 2, 3):
+        assert same(modular.theta(which, order), reference.theta_product(which, order)), which
