@@ -1,16 +1,21 @@
 """Integral lattices, short-vector enumeration, theta series, eta products,
 and the equivariant two-sector trace assembled from them.
 
-A lattice is its Gram matrix.  Positive definiteness is certified at
-construction by an exact LDL decomposition (all pivots positive); the same
-decomposition drives the short-vector enumeration, which walks coordinates
-from the last to the first propagating exact rational norm budgets.
+A lattice is its Gram matrix.  Construction reduces the basis by integral LLL
+(Cohen, GTM 138, Alg. 2.6.7), which works on the Gram matrix in integers: it
+keeps the unimodular transform to the reduced basis, the reduced basis's
+leading minors D_k (all positive, which certifies definiteness) and its
+integral Gram-Schmidt coefficients lambda_kj, i.e. a fraction-free LDL.  The
+Fincke-Pohst short-vector walk runs on that reduced basis with integer norm
+budgets and maps the vectors it finds back to the caller's coordinates.
 """
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass
 from fractions import Fraction
+from operator import mul
 
 from . import modular
 from ._leech import LEECH_GRAM
@@ -32,16 +37,104 @@ __all__ = [
 ]
 
 
+def _integer(x) -> int:
+    """x as an int; ValueError unless it is integral (2.0 and Fraction(4, 2) are)."""
+    if isinstance(x, int):
+        return int(x)
+    try:
+        q = Fraction(x)
+    except (TypeError, ValueError, OverflowError):
+        raise ValueError(f"{x!r} is not an integer") from None
+    if q.denominator != 1:
+        raise ValueError(f"{x!r} is not an integer")
+    return q.numerator
+
+
+def _integer_rows(rows):
+    return tuple(tuple(_integer(x) for x in row) for row in rows)
+
+
+def _numerators(v):
+    """(integer numerators, least common denominator) of a rational vector."""
+    q = [x if isinstance(x, int) else Fraction(x) for x in v]
+    den = math.lcm(*(x.denominator for x in q))
+    return [x.numerator * (den // x.denominator) for x in q], den
+
+
+def _lll(g):
+    """Integral LLL with delta = 3/4 on the Gram matrix g.
+
+    Returns (u, d, lam).  The rows of the unimodular u are the reduced basis
+    in the caller's coordinates.  d[k] is the k-th leading minor of the
+    reduced Gram u g u^T (d[0] = 1) and lam[k][j] = d[j + 1] mu_kj (j < k) are
+    its integral Gram-Schmidt coefficients, so b*_k has squared length
+    d[k + 1] / d[k].  Raises ValueError when a leading minor of g is not
+    positive, i.e. g is not positive definite.
+    """
+    n = len(g)
+    u = [[int(i == j) for j in range(n)] for i in range(n)]
+    d = [1] * (n + 1)
+    lam = [[0] * k for k in range(n)]
+
+    def size_reduce(k, l):
+        if 2 * abs(lam[k][l]) > d[l + 1]:
+            q = (2 * lam[k][l] + d[l + 1]) // (2 * d[l + 1])
+            u[k] = [a - q * b for a, b in zip(u[k], u[l])]
+            lam[k][l] -= q * d[l + 1]
+            for i in range(l):
+                lam[k][i] -= q * lam[l][i]
+
+    def swap(k):
+        u[k], u[k - 1] = u[k - 1], u[k]
+        lam[k], lam[k - 1] = lam[k - 1] + lam[k][k - 1:], lam[k][:k - 1]
+        c = lam[k][k - 1]
+        b = (d[k - 1] * d[k + 1] + c * c) // d[k]
+        for i in range(k + 1, kmax + 1):
+            t = lam[i][k]
+            lam[i][k] = (d[k + 1] * lam[i][k - 1] - c * t) // d[k]
+            lam[i][k - 1] = (b * t + c * lam[i][k]) // d[k + 1]
+        d[k] = b
+
+    k, kmax = 0, -1
+    while k < n:
+        if k > kmax:
+            # first visit: b_k is still e_k; extend the Gram-Schmidt data
+            kmax = k
+            for j in range(k + 1):
+                s = sum(map(mul, u[j], (row[k] for row in g)))
+                for i in range(j):
+                    s = (d[i + 1] * s - lam[k][i] * lam[j][i]) // d[i]
+                if j < k:
+                    lam[k][j] = s
+                elif s <= 0:
+                    raise ValueError("gram matrix is not positive definite")
+                else:
+                    d[k + 1] = s
+            if k == 0:
+                k = 1
+                continue
+        size_reduce(k, k - 1)
+        c = lam[k][k - 1]
+        if 4 * d[k + 1] * d[k - 1] < 3 * d[k] * d[k] - 4 * c * c:
+            swap(k)
+            k = max(1, k - 1)
+        else:
+            for l in range(k - 2, -1, -1):
+                size_reduce(k, l)
+            k += 1
+    return tuple(map(tuple, u)), tuple(d), tuple(map(tuple, lam))
+
+
 class Lattice:
     """Positive-definite integral lattice given by its Gram matrix.
 
     Rank 0 is allowed (the ambient-fixed sublattice of the identity).
     """
 
-    __slots__ = ("gram", "_pivots", "_mu")
+    __slots__ = ("gram", "_basis", "_minors", "_lam")
 
     def __init__(self, gram):
-        g = tuple(tuple(int(x) for x in row) for row in gram)
+        g = _integer_rows(gram)
         r = len(g)
         if any(len(row) != r for row in g):
             raise ValueError("gram matrix must be square")
@@ -50,35 +143,26 @@ class Lattice:
                 if g[i][j] != g[j][i]:
                     raise ValueError("gram matrix must be symmetric")
         self.gram = g
-        # LDL: gram = U^T diag(d) U with U unitriangular; positive pivots
-        # certify definiteness and feed the enumeration bounds.
-        a = [[Fraction(x) for x in row] for row in g]
-        d = []
-        mu = [[Fraction(0)] * r for _ in range(r)]
-        for k in range(r):
-            piv = a[k][k]
-            if piv <= 0:
-                raise ValueError("gram matrix is not positive definite")
-            d.append(piv)
-            mu[k][k] = Fraction(1)
-            for j in range(k + 1, r):
-                mu[k][j] = a[k][j] / piv
-            for i in range(k + 1, r):
-                for j in range(k + 1, r):
-                    a[i][j] -= a[i][k] * a[k][j] / piv
-        self._pivots = tuple(d)
-        self._mu = tuple(tuple(row) for row in mu)
+        self._basis, self._minors, self._lam = _lll(g)
+
+    @property
+    def _pivots(self):
+        """Squared Gram-Schmidt lengths of the reduced basis; their product is det(gram)."""
+        m = self._minors
+        return tuple(Fraction(b, a) for a, b in zip(m, m[1:]))
 
     @property
     def rank(self) -> int:
         return len(self.gram)
 
     def inner(self, v, w) -> Fraction:
-        g = self.gram
-        return sum(
-            Fraction(v[i]) * sum(g[i][j] * Fraction(w[j]) for j in range(len(g)))
-            for i in range(len(g))
-        ) if g else Fraction(0)
+        """<v, w> for rational coordinate vectors, summed in integers over common denominators."""
+        nv, dv = _numerators(v)
+        nw, dw = _numerators(w)
+        if not len(nv) == len(nw) == self.rank:
+            raise ValueError("vectors must have the lattice's rank")
+        s = sum(a * sum(map(mul, row, nw)) for a, row in zip(nv, self.gram) if a)
+        return Fraction(s, dv * dw)
 
     def norm(self, v) -> Fraction:
         return self.inner(v, v)
@@ -107,55 +191,78 @@ def leech_lattice() -> Lattice:
     return Lattice(LEECH_GRAM)
 
 
-def _enumerate_with_norms(lat: Lattice, maxnorm: int):
-    """(vector, norm) pairs for all vectors of norm <= maxnorm, lex sorted.
+def _walk(lat: Lattice, maxnorm: int, leaf) -> int:
+    """Fincke-Pohst walk in integers over the LLL-reduced basis.
 
-    Exact Fincke-Pohst walk on the LDL decomposition: at level i the norm
-    splits off d_i (x_i + sum mu_ij x_j)^2, bounding x_i by an exact rational
-    inequality.  The consumed budget is the norm, so nothing is recomputed.
-    Cost grows quickly with maxnorm and rank; callers bound it.
+    With d = lat._minors and L_k = sum_{i>k} lam_ik x_i, the norm of
+    sum x_k b_k is sum_k (d_{k+1} x_k + L_k)^2 / (d_k d_{k+1}).  Scaled by
+    the common multiple `scale` of the d_k d_{k+1}, every budget is an
+    integer, and level k admits the x_k with
+    w_k (d_{k+1} x_k + L_k)^2 <= budget, w_k = scale / (d_k d_{k+1}).
+    Only one of each pair +-v is visited: its last nonzero coordinate is
+    positive.  leaf(x, rest) is called once per pair of nonzero vectors of
+    norm <= maxnorm, with x the reduced coordinates (a list the walk reuses)
+    and rest = scale * (maxnorm - norm).  Returns `scale`.
     """
-    if maxnorm < 0:
-        raise ValueError("maxnorm must be nonnegative")
-    r = lat.rank
-    if r == 0:
-        return [((), Fraction(0))]
-    d = lat._pivots
-    mu = lat._mu
-    top = Fraction(maxnorm)
-    out = []
-    coords = [0] * r
+    d, lam = lat._minors, lat._lam
+    n = lat.rank
+    scale = math.lcm(*(d[k] * d[k + 1] for k in range(n)))
+    w = [scale // (d[k] * d[k + 1]) for k in range(n)]
+    x = [0] * n
 
-    def descend(level, budget):
-        if level < 0:
-            out.append((tuple(coords), top - budget))
+    def descend(k, lo, hi, budget, centre):
+        # x_k runs over lo..hi; children with an empty range are not entered
+        dk, wk, c = d[k + 1], w[k], centre[k]
+        if not k:
+            for xk in range(lo, hi + 1):
+                x[0] = xk
+                y = dk * xk + c
+                leaf(x, budget - wk * y * y)
+            x[0] = 0
             return
-        murow = mu[level]
-        c = Fraction(0)
-        for j in range(level + 1, r):
-            if coords[j]:
-                c += murow[j] * coords[j]
-        # integer x with d[level] (x + c)^2 <= budget, scanned outward from -c
-        center = round(-c)
-        x = center
-        while d[level] * (x + c) ** 2 <= budget:
-            coords[level] = x
-            descend(level - 1, budget - d[level] * (x + c) ** 2)
-            x += 1
-        x = center - 1
-        while d[level] * (x + c) ** 2 <= budget:
-            coords[level] = x
-            descend(level - 1, budget - d[level] * (x + c) ** 2)
-            x -= 1
+        lk, dn, wn, cn = lam[k], d[k], w[k - 1], centre[k - 1]
+        ln = lk[k - 1]
+        for xk in range(lo, hi + 1):
+            y = dk * xk + c
+            rest = budget - wk * y * y
+            t = math.isqrt(rest // wn)
+            yn = cn + ln * xk
+            lon, hin = -((t + yn) // dn), (t - yn) // dn
+            if lon <= hin:
+                x[k] = xk
+                descend(k - 1, lon, hin, rest,
+                        [a + b * xk for a, b in zip(centre, lk)] if xk else centre)
+        x[k] = 0
 
-    descend(r - 1, top)
-    out.sort()
-    return out
+    top, zeros = scale * maxnorm, [0] * n
+    for k in range(n):
+        # the vectors whose last nonzero coordinate is x_k >= 1
+        hi = math.isqrt(top // w[k]) // d[k + 1]
+        if hi >= 1:
+            descend(k, 1, hi, top, zeros)
+    return scale
 
 
 def enumerate_vectors(lat: Lattice, maxnorm: int):
-    """All lattice vectors of norm <= maxnorm, lexicographically sorted."""
-    return [v for v, _ in _enumerate_with_norms(lat, maxnorm)]
+    """All lattice vectors of norm <= maxnorm, in the caller's coordinates,
+    lexicographically sorted.  A rational maxnorm is floored.
+    """
+    if maxnorm < 0:
+        raise ValueError("maxnorm must be nonnegative")
+    basis = lat._basis
+    out = [(0,) * lat.rank]
+
+    def leaf(x, _rest):
+        v = [0] * len(x)
+        for c, row in zip(x, basis):
+            if c:
+                v = [a + c * b for a, b in zip(v, row)]
+        out.append(tuple(v))
+        out.append(tuple(-a for a in v))
+
+    _walk(lat, math.floor(maxnorm), leaf)
+    out.sort()
+    return out
 
 
 def _half_norm_bound(order: Fraction) -> int:
@@ -166,16 +273,35 @@ def _half_norm_bound(order: Fraction) -> int:
     return maxnorm
 
 
-def theta_series(lat: Lattice, order) -> RationalSeries:
-    """Sum of q^{norm/2} over all lattice vectors with norm/2 below `order`."""
+def _theta(lat: Lattice, order, parity=None) -> RationalSeries:
+    """Sum of q^{norm/2} over the vectors with norm/2 below `order`.
+
+    With `parity` (one integer per reduced basis vector) the vector with
+    reduced coordinates x is signed (-1)^(x . parity).  Only counts are kept.
+    """
     order = Fraction(order)
     if order <= 0:
         return RationalSeries.zero(order)
-    counts: dict = {}
-    for _, n in _enumerate_with_norms(lat, _half_norm_bound(order)):
-        counts[n] = counts.get(n, 0) + 1
-    terms = [(n / 2, Fraction(c)) for n, c in counts.items()]
+    maxnorm = _half_norm_bound(order)
+    rests: dict = {}
+    if parity is None:
+        def leaf(_x, rest):
+            rests[rest] = rests.get(rest, 0) + 1
+    else:
+        def leaf(x, rest):
+            sign = -1 if sum(map(mul, x, parity)) & 1 else 1
+            rests[rest] = rests.get(rest, 0) + sign
+
+    scale = _walk(lat, maxnorm, leaf)
+    terms = [(Fraction(0), Fraction(1))]
+    # each visited vector stands for the pair +-v, which has one sign
+    terms += [(Fraction(maxnorm - rest // scale, 2), Fraction(2 * c)) for rest, c in rests.items()]
     return RationalSeries.from_terms(terms, order)
+
+
+def theta_series(lat: Lattice, order) -> RationalSeries:
+    """Sum of q^{norm/2} over all lattice vectors with norm/2 below `order`."""
+    return _theta(lat, order)
 
 
 @dataclass(frozen=True)
@@ -185,7 +311,7 @@ class CycleShape:
     pairs: tuple
 
     def __init__(self, pairs):
-        norm = tuple((int(a), int(m)) for a, m in pairs)
+        norm = tuple((_integer(a), _integer(m)) for a, m in pairs)
         seen = set()
         for a, m in norm:
             if a <= 0:
@@ -264,7 +390,7 @@ class EquivariantSpec:
     ):
         self.ambient = ambient
         self.fixed_sublattice = fixed_sublattice
-        emb = tuple(tuple(int(x) for x in row) for row in embedding)
+        emb = _integer_rows(embedding)
         if len(emb) != fixed_sublattice.rank:
             raise ValueError("embedding must have one row per sublattice basis vector")
         for row in emb:
@@ -279,7 +405,7 @@ class EquivariantSpec:
         self.xi = tuple(Fraction(x) for x in xi)
         if len(self.xi) != ambient.rank:
             raise ValueError("xi must have ambient length")
-        self.alpha = tuple(int(x) for x in alpha)
+        self.alpha = tuple(_integer(x) for x in alpha)
         if len(self.alpha) != ambient.rank:
             raise ValueError("alpha must have ambient length")
         # 2 xi must pair integrally with the ambient lattice (phases are +-1)
@@ -345,19 +471,11 @@ def _phase(pairing: Fraction) -> int:
 
 def twisted_theta(spec: EquivariantSpec, order) -> RationalSeries:
     """Theta series of the fixed sublattice, each vector signed by its xi-phase."""
-    order = Fraction(order)
-    if order <= 0:
-        return RationalSeries.zero(order)
-    lat = spec.fixed_sublattice
-    # <xi, emb_i> once per basis row; the phase of gamma is then a dot product
-    xi_emb = [spec.ambient.inner(spec.xi, row) for row in spec.embedding]
-    acc: dict = {}
-    for gamma, n in _enumerate_with_norms(lat, _half_norm_bound(order)):
-        pairing = sum((g * p for g, p in zip(gamma, xi_emb)), Fraction(0))
-        sign = _phase(pairing)
-        acc[n] = acc.get(n, 0) + sign
-    terms = [(n / 2, Fraction(c)) for n, c in acc.items() if c]
-    return RationalSeries.from_terms(terms, order)
+    # 2<xi, emb_i> is an integer for each sublattice basis vector; carried to
+    # the reduced basis, its parity signs every vector
+    doubled = [_integer(2 * spec.ambient.inner(spec.xi, row)) for row in spec.embedding]
+    parity = [sum(map(mul, row, doubled)) for row in spec.fixed_sublattice._basis]
+    return _theta(spec.fixed_sublattice, order, parity)
 
 
 def equivariant_z(spec: EquivariantSpec, L: int, order) -> RationalSeries:
@@ -394,7 +512,7 @@ def fixed_sublattice_from_automorphism(ambient: Lattice, matrix):
     Returns (sublattice, embedding rows).
     """
     r = ambient.rank
-    a = [[int(x) for x in row] for row in matrix]
+    a = _integer_rows(matrix)
     if len(a) != r or any(len(row) != r for row in a):
         raise ValueError("automorphism must be square of ambient rank")
     g = ambient.gram

@@ -177,6 +177,24 @@ def test_equivariant_malformed_json(capsys, tmp_path):
     assert "input error" in err
 
 
+@pytest.mark.parametrize("part", ["gram", "embedding", "alpha"])
+def test_equivariant_non_integral_spec_exits_2(capsys, tmp_path, part):
+    obj = identity_spec(16).to_json_obj()
+    if part == "gram":
+        obj["ambient"]["gram"][0][0] = 6.7
+    elif part == "embedding":
+        obj["fixed_sublattice"] = {"rank": 1, "gram": [[6]], "embedding": [[1.5] + [0] * 23]}
+    else:
+        obj["alpha"][0] = 0.5
+    path = tmp_path / "spec.json"
+    path.write_text(json.dumps(obj))
+    code, out, err = run(capsys, "equivariant", "--spec", str(path),
+                         "--norm", "16", "--order", "4")
+    assert code == 2
+    assert out == ""
+    assert "is not an integer" in err
+
+
 def test_order_must_be_at_least_one(capsys):
     with pytest.raises(SystemExit):
         cli.main(["expand", "--what", "delta", "--order", "1/2"])
