@@ -24,7 +24,7 @@ TWISTED_UNIT_CAP = 6        # rank-24 twisted brute force, half-integer units
 MAX_ORDER = 200             # --order
 MAX_NORM = 512              # --norm and the L of identity parameters
 MAX_K = 32                  # --k and prop31:KMAX
-MAX_WEIGHT = 128            # spaces --weight
+MAX_WEIGHT = 128            # spaces --weight and the K of eisenstein:K
 
 
 def _fraction(text: str) -> Fraction:
@@ -72,6 +72,8 @@ def _emit(obj: dict, fmt: str):
 def _cmd_expand(args) -> int:
     what, _, suffix = args.what.partition(":")
     order = args.order
+    if what == "eisenstein" and int(suffix or 4) > MAX_WEIGHT:
+        raise ValueError(f"eisenstein weight {suffix} exceeds the limit {MAX_WEIGHT}")
     expansions = {
         "eta": modular.eta, "delta": modular.delta, "jfunction": modular.jfunction,
         "eisenstein": lambda o: modular.eisenstein(int(suffix or 4), o),
@@ -328,7 +330,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("expand", parents=[common], help="print a named q-expansion")
     p.add_argument(
         "--what", required=True,
-        help="eta, delta, jfunction, eisenstein:K, or theta:I",
+        help=f"eta, delta, jfunction, eisenstein:K (K at most {MAX_WEIGHT}), or theta:I",
     )
     p.set_defaults(func=_cmd_expand)
 

@@ -62,7 +62,7 @@ def _numerators(v):
 
 
 def _lll(g):
-    """Integral LLL with delta = 3/4 on the Gram matrix g.
+    """Integral LLL with delta = 99/100 on the Gram matrix g.
 
     Returns (u, d, lam).  The rows of the unimodular u are the reduced basis
     in the caller's coordinates.  d[k] is the k-th leading minor of the
@@ -115,7 +115,7 @@ def _lll(g):
                 continue
         size_reduce(k, k - 1)
         c = lam[k][k - 1]
-        if 4 * d[k + 1] * d[k - 1] < 3 * d[k] * d[k] - 4 * c * c:
+        if 100 * d[k + 1] * d[k - 1] < 99 * d[k] * d[k] - 100 * c * c:
             swap(k)
             k = max(1, k - 1)
         else:

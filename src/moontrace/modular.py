@@ -7,13 +7,17 @@ form f is q*df/dq + k*E_2*f.  Holomorphic spaces of weight k are spanned by
 monomials E_4^a E_6^b with 4a + 6b = k; cusp spaces multiply by Delta; the
 pole-allowed spaces divide weight-(k+12) forms by Delta and remove the
 constant term.
+
+E_k, Delta and j are each built once per power-of-two order (at least 16) and
+every call is cut from that table with `truncate`, which copies; the
+sigma_{k-1}(n) of E_k come from one divisor sieve over the table's range.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cache
-from math import factorial
+from math import ceil, factorial
 
 from . import _linalg
 from .qseries import RationalSeries, TruncationError
@@ -30,6 +34,12 @@ __all__ = [
     "space_basis",
     "fit",
 ]
+
+def _table_order(order) -> int:
+    """Smallest power of two (at least 16) above ceil(order): a table at it
+    covers every index below `order`, and one is built only as order doubles."""
+    return max(16, 1 << max(0, ceil(order)).bit_length())
+
 
 @cache
 def _bernoulli_table(top: int) -> tuple:
@@ -49,11 +59,21 @@ def bernoulli(k: int) -> Fraction:
     """
     if k < 0:
         raise ValueError("Bernoulli index must be nonnegative")
-    return _bernoulli_table(max(16, 1 << k.bit_length()))[k]
+    return _bernoulli_table(_table_order(k))[k]
 
 
-def _sigma(power: int, n: int) -> int:
-    return sum(d**power for d in range(1, n + 1) if n % d == 0)
+@cache
+def _eisenstein_table(k: int, top: int) -> RationalSeries:
+    # divisor sieve: sigma[n] = sum of d^(k-1) over d | n, for every n < top
+    sigma = [0] * top
+    for d in range(1, top):
+        p = d ** (k - 1)
+        for m in range(d, top, d):
+            sigma[m] += p
+    lead = Fraction(2, factorial(k - 1))
+    terms = {n: lead * s for n, s in enumerate(sigma)}
+    terms[0] = -bernoulli(k) / factorial(k)
+    return RationalSeries(1, terms, top)
 
 
 def eisenstein(k: int, order) -> RationalSeries:
@@ -61,13 +81,7 @@ def eisenstein(k: int, order) -> RationalSeries:
     if k < 2 or k % 2:
         raise ValueError("Eisenstein weight must be an even integer >= 2")
     order = Fraction(order)
-    terms = {0: -bernoulli(k) / factorial(k)}
-    lead = Fraction(2, factorial(k - 1))
-    n = 1
-    while n < order:
-        terms[n] = lead * _sigma(k - 1, n)
-        n += 1
-    return RationalSeries.from_terms(terms, order)
+    return _eisenstein_table(k, _table_order(order)).truncate(order)
 
 
 def eta(order) -> RationalSeries:
@@ -88,10 +102,17 @@ def eta(order) -> RationalSeries:
     return RationalSeries.from_terms(terms, order)
 
 
+@cache
+def _delta_table(top: int) -> RationalSeries:
+    return eta(top).pow_int(24)
+
+
 def delta(order) -> RationalSeries:
     """Discriminant form eta^24 = q - 24q^2 + 252q^3 - ..."""
     order = Fraction(order)
-    return eta(order).pow_int(24).truncate(order)
+    if order <= 0:
+        raise TruncationError("delta needs a positive truncation order")
+    return _delta_table(_table_order(order)).truncate(order)
 
 
 def theta(which: int, order) -> RationalSeries:
@@ -116,13 +137,20 @@ def theta(which: int, order) -> RationalSeries:
     return RationalSeries.from_terms(terms, order)
 
 
+@cache
+def _jfunction_table(top: int) -> RationalSeries:
+    head = top + 2
+    raw = eisenstein(4, head).pow_int(3) * delta(head).invert()
+    raw = raw * (Fraction(1) / raw.coeff(-1))
+    return raw - raw.coeff(0)
+
+
 def jfunction(order) -> RationalSeries:
     """Hauptmodul normalized to q^{-1} + 0 + 196884 q + ... (constant removed)."""
     order = Fraction(order)
-    head = order + 2
-    raw = eisenstein(4, head).pow_int(3) * delta(head).invert()
-    raw = raw * (Fraction(1) / raw.coeff(-1))
-    return (raw - raw.coeff(0)).truncate(order)
+    if order <= 0:
+        raise TruncationError("jfunction needs a positive truncation order")
+    return _jfunction_table(_table_order(order)).truncate(order)
 
 
 def serre_derive(f: RationalSeries, weight) -> RationalSeries:

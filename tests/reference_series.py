@@ -4,12 +4,14 @@
 chain of truncated products sum (-u)^k; the library replaces them with
 Kronecker substitution and Newton iteration.  `eta_product` and
 `theta_product` build eta and the theta constants from their infinite
-products; the library sums them instead.  Only the series' public
-attributes and accessors are used, so the oracle shares no code path with the
-kernel it checks.
+products; the library sums them instead.  `eisenstein` finds each
+sigma_{k-1}(n) by trial division and B_k by the binomial recurrence; the
+library cuts E_k from a divisor-sieve table and inverts (e^t - 1)/t.  Only
+the series' public attributes and accessors are used, so the oracle shares no
+code path with the kernel it checks.
 """
 from fractions import Fraction
-from math import lcm
+from math import comb, factorial, lcm
 
 from moontrace.qseries import MarkerPoly, RationalSeries, TruncationError
 
@@ -28,6 +30,18 @@ def mul(a, b):
             if e < scaled_bound:
                 out[e] = out.get(e, 0) + c1 * c2
     return type(a)(d, out, bound)
+
+
+def pow_int(s, n):
+    """s^n for n >= 1 by repeated squaring over `mul`."""
+    acc = None
+    while n:
+        if n & 1:
+            acc = s if acc is None else mul(acc, s)
+        n >>= 1
+        if n:
+            s = mul(s, s)
+    return acc
 
 
 def _scaled_shift(s, shift, scale, order):
@@ -91,3 +105,23 @@ def theta_product(which, order):
         return _scaled_shift(_product(factors, order), Fraction(1, 8), 2, order)
     factors += 2 * _binomials(1, Fraction(1, 2), -1 if which == 2 else 1, order)
     return _product(factors, order)
+
+
+def bernoulli(k):
+    """B_k from sum_{j<=n} C(n+1, j) B_j = 0 for n >= 1, B_0 = 1."""
+    b = [Fraction(1)]
+    for n in range(1, k + 1):
+        b.append(-sum(comb(n + 1, j) * b[j] for j in range(n)) / (n + 1))
+    return b[k]
+
+
+def eisenstein(k, order):
+    """-B_k/k! + (2/(k-1)!) sum sigma_{k-1}(n) q^n, each sigma by trial division."""
+    order = Fraction(order)
+    terms = {0: -bernoulli(k) / factorial(k)}
+    lead = Fraction(2, factorial(k - 1))
+    n = 1
+    while n < order:
+        terms[n] = lead * sum(d ** (k - 1) for d in range(1, n + 1) if n % d == 0)
+        n += 1
+    return RationalSeries.from_terms(terms, order)

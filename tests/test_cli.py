@@ -237,6 +237,7 @@ def test_route_disagreement_exits_1(capsys, monkeypatch):
     ("spaces", "--kind", "M", "--weight", str(cli.MAX_WEIGHT + 2)),
     ("verify", "--identity", f"ideal:{cli.MAX_NORM + 8}"),
     ("verify", "--identity", f"prop31:{cli.MAX_K + 1}"),
+    ("expand", "--what", f"eisenstein:{cli.MAX_WEIGHT + 2}"),
 ])
 def test_unbounded_input_refused_before_work(capsys, monkeypatch, argv):
     from moontrace import fock, lattice, modular, virasoro
@@ -244,13 +245,17 @@ def test_unbounded_input_refused_before_work(capsys, monkeypatch, argv):
     def no_work(*_args, **_kwargs):
         raise AssertionError("work started on refused input")
     for module, name in ((modular, "delta"), (virasoro, "vacuum_zpoint"), (fock, "z_total"),
-                         (lattice.EquivariantSpec, "load"), (modular, "space_basis")):
+                         (lattice.EquivariantSpec, "load"), (modular, "space_basis"),
+                         (modular, "eisenstein"), (modular, "bernoulli")):
         monkeypatch.setattr(module, name, no_work)
     code, out, _ = exit_code(capsys, *argv)
     assert code == 2 and out == ""
 
 
-def test_input_limits_accept_their_bounds():
+def test_input_limits_accept_their_bounds(capsys):
+    code, out, _ = exit_code(capsys, "expand", "--what", f"eisenstein:{cli.MAX_WEIGHT}",
+                             "--order", "3")
+    assert code == 0 and json.loads(out)["series"]["terms"]
     parser = cli._build_parser()
     args = parser.parse_args(["vacuum-trace", "--k", str(cli.MAX_K),
                               "--order", str(cli.MAX_ORDER)])

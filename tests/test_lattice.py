@@ -375,8 +375,8 @@ def _check_reduced(lat):
             assert F(lam[k][j], d[j + 1]) == mu[j][k]
             assert 2 * abs(lam[k][j]) <= d[j + 1]  # size reduced
         if k:
-            # Lovasz condition with delta = 3/4
-            assert 4 * d[k + 1] * d[k - 1] >= 3 * d[k] ** 2 - 4 * lam[k][k - 1] ** 2
+            # Lovasz condition with delta = 99/100 (which implies delta = 3/4)
+            assert 100 * d[k + 1] * d[k - 1] >= 99 * d[k] ** 2 - 100 * lam[k][k - 1] ** 2
     return reduced
 
 

@@ -1,5 +1,4 @@
 from fractions import Fraction as F
-from math import comb
 
 import pytest
 import reference_series as reference
@@ -9,13 +8,9 @@ from moontrace.qseries import RationalSeries, TruncationError
 
 
 def test_bernoulli_against_recurrence():
-    # sum_{j<=n} C(n+1,j) B_j = 0 for n >= 1, B_0 = 1
-    B = [F(1)]
-    for n in range(1, 21):
-        B.append(-sum(comb(n + 1, j) * B[j] for j in range(n)) / (n + 1))
     for k in range(0, 21, 2):
-        assert modular.bernoulli(k) == B[k], k
-    assert B[12] == F(-691, 2730)
+        assert modular.bernoulli(k) == reference.bernoulli(k), k
+    assert reference.bernoulli(12) == F(-691, 2730)
 
 
 def test_eisenstein_normalization():
@@ -31,6 +26,60 @@ def test_eisenstein_normalization():
     assert e6.coeff(1) == F(2, 120)
     with pytest.raises(ValueError):
         modular.eisenstein(3, 5)
+
+
+TABLE_ORDERS = (F(1, 3), 1, 15, 16, 17, F(31, 2), 63, 64, 65, 129, 200)
+
+
+def _same(a, b):
+    return (a.denom, a.terms, a.order) == (b.denom, b.terms, b.order)
+
+
+@pytest.mark.parametrize("k", range(2, 17, 2))
+def test_eisenstein_table_matches_trial_division(k):
+    # cold tables, then tables built after a call at a larger order
+    expect = {n: reference.eisenstein(k, n) for n in TABLE_ORDERS}
+    modular._eisenstein_table.cache_clear()
+    for n in TABLE_ORDERS:
+        assert _same(modular.eisenstein(k, n), expect[n]), n
+    modular._eisenstein_table.cache_clear()
+    modular.eisenstein(k, 400)
+    for n in TABLE_ORDERS:
+        assert _same(modular.eisenstein(k, n), expect[n]), n
+    # every call gets its own series, never the cached table
+    assert modular.eisenstein(k, 20).terms is not modular.eisenstein(k, 20).terms
+
+
+def test_delta_and_j_tables_match_reference_routes():
+    # each reference is built once at the largest order and cut to the others
+    # (the slow reference inverse keeps j to orders <= 65)
+    d = reference.pow_int(reference.eta_product(200), 24)
+    for n in TABLE_ORDERS:
+        assert _same(modular.delta(n), d.truncate(n)), n
+    head = 67
+    d_inv = reference.invert(reference.pow_int(reference.eta_product(head), 24))
+    raw = reference.mul(reference.pow_int(reference.eisenstein(4, head), 3), d_inv)
+    raw = raw * (1 / raw.coeff(-1))
+    j = raw - raw.coeff(0)
+    for n in TABLE_ORDERS[:9]:
+        assert _same(modular.jfunction(n), j.truncate(n)), n
+
+
+def test_table_edges():
+    for order in (0, F(-1, 2), -3):
+        empty = modular.eisenstein(4, order)
+        assert empty.is_zero() and empty.order == order and empty.denom == 1
+        with pytest.raises(TruncationError):
+            modular.delta(order)
+        with pytest.raises(TruncationError):
+            modular.jfunction(order)
+    assert _same(modular.eisenstein(4, 60), modular.eisenstein(4, F(60)))
+    # tables are keyed by power-of-two order, so 200 orders build five
+    modular._eisenstein_table.cache_clear()
+    for n in range(1, 201):
+        modular.eisenstein(4, n)
+    info = modular._eisenstein_table.cache_info()
+    assert info.currsize <= 5 and info.hits >= 195
 
 
 def test_eta_pentagonal():
