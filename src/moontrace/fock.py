@@ -12,7 +12,12 @@ The brute-force oracle never touches those formulas: it enumerates Fock basis
 states and computes each diagonal matrix entry of the degree-zero component of
 E^-(mu, z) E^+(mu, z) by applying the truncated exponentials as actual
 operators with [lam(s), lam(t)] = s L delta_{s+t,0}.  Both mu = +lam and
-mu = -lam are computed and must agree.
+mu = -lam are computed and must agree.  The states are enumerated once per
+oscillator and tabulated by (grade units, particle count): oscillator 0,
+which carries the insertion, sums its diagonal entries per cell, and each of
+the other 23 counts its states per cell.  The rank-24 trace is the first
+table convolved with the 23rd convolution power of the second, which is the
+state-by-state sum grouped by cell, with no product formula involved.
 
 Sector assembly (norm L = <lam, lam>):
 
@@ -206,18 +211,56 @@ def _diag(state, L: int) -> Fraction:
     return plus
 
 
+def _state_tables(L: int, units: int, unit_values, mode_of_unit):
+    """Single-oscillator basis states tabulated by (grade units, particle count).
+
+    Returns `(diag0, free)`, both (units+1) x (units+1): `diag0[s][c]` sums
+    `_diag` over the states of `s` units and `c` particles (the oscillator
+    carrying the insertion), `free[s][c]` counts those states (an oscillator
+    without it).  `unit_values` lists the unit sizes single modes may take and
+    `mode_of_unit(u)` maps a unit count to the mode it carries.
+    """
+    size = max(units + 1, 0)
+    parts = [u for u in range(units, 0, -1) if u in unit_values]
+    diag0 = [[Fraction(0)] * size for _ in range(size)]
+    free = [[0] * size for _ in range(size)]
+    for s in range(size):
+        for p in _partitions(s, parts):
+            diag0[s][len(p)] += _diag(tuple(mode_of_unit(u) for u in p), L)
+            free[s][len(p)] += 1
+    return diag0, free
+
+
+def _convolve(a, b):
+    """2-D convolution of (units, count) tables, cut above the tables' size."""
+    size = len(a)
+    out = [[0] * size for _ in range(size)]
+    for s1, row1 in enumerate(a):
+        for c1, x in enumerate(row1):
+            if not x:
+                continue
+            for s2 in range(size - s1):
+                row_out, row2 = out[s1 + s2], b[s2]
+                for c2 in range(size - c1):
+                    if row2[c2]:
+                        row_out[c1 + c2] += x * row2[c2]
+    return out
+
+
+def _table_series(table, mode_of_unit, order) -> MarkerSeries:
+    """Row s of the table is the marker polynomial at q^mode_of_unit(s)."""
+    terms = {mode_of_unit(s): MarkerPoly(row) for s, row in enumerate(table)}
+    return MarkerSeries.from_terms(terms.items(), order)
+
+
 def brute_trace_A(L: int, max_grade: int) -> MarkerSeries:
-    """Single-oscillator trace by state enumeration, known through q^max_grade."""
+    """Single-oscillator trace by state enumeration, known through q^max_grade.
+
+    This is the `diag0` table of the rank-24 oracle on its own.
+    """
     _check_norm(L)
-    terms: dict = {}
-    parts = list(range(max_grade, 0, -1))
-    for g in range(max_grade + 1):
-        for p in _partitions(g, parts):
-            d = _diag(p, L)
-            if d:
-                e = Fraction(g)
-                terms[e] = terms.get(e, MarkerPoly(())) + MarkerPoly.x_power(len(p), d)
-    return MarkerSeries.from_terms(terms.items(), max_grade + 1)
+    diag0, _ = _state_tables(L, max_grade, range(1, max_grade + 1), int)
+    return _table_series(diag0, int, max_grade + 1)
 
 
 def _colored_trace(L: int, units: int, unit_values, mode_of_unit, order) -> MarkerSeries:
@@ -225,55 +268,33 @@ def _colored_trace(L: int, units: int, unit_values, mode_of_unit, order) -> Mark
 
     `units` bounds the total grade in integer units, `unit_values` lists the
     unit sizes single oscillator modes may take, and `mode_of_unit(s)` maps a
-    unit count to the q-exponent it carries.  States are walked one by one.
+    unit count to the q-exponent it carries.
+
+    A rank-24 basis state is one single-oscillator state per colour, and its
+    diagonal entry is oscillator 0's entry (colours 1-23 carry no insertion).
+    Grouping each colour's states by (units, particle count), the trace is
+    oscillator 0's `diag0` table convolved with 23 copies of the free colour's
+    state-count table, cut above `units`; binary powering builds the 23 copies
+    in a handful of convolutions.  Every entry is a sum over enumerated basis
+    states, every diagonal entry comes from `_diag`'s operator algebra (both
+    signs), and no closed form -- 1/(1 - x q^n), `exp_series` -- is used.
     """
-    all_parts = {
-        s: _partitions(s, [u for u in range(units, 0, -1) if u in unit_values])
-        for s in range(units + 1)
-    }
-    diag_memo = {}
-    for s in range(units + 1):
-        for p in all_parts[s]:
-            state = tuple(mode_of_unit(u) for u in p)
-            diag_memo[p] = _diag(state, L)
-
-    acc: dict = {}
-
-    def leaf(used, count, amp):
-        key = (used, count)
-        acc[key] = acc.get(key, Fraction(0)) + amp
-
-    def walk(color, budget, used, count, amp):
-        if color == RANK:
-            leaf(used, count, amp)
-            return
-        if budget == 0:
-            # every remaining oscillator is forced into its ground state
-            leaf(used, count, amp)
-            return
-        for s in range(budget + 1):
-            for p in all_parts[s]:
-                if color == 0:
-                    d = diag_memo[p]
-                    if d:
-                        walk(1, budget - s, used + s, count + len(p), amp * d)
-                else:
-                    walk(color + 1, budget - s, used + s, count + len(p), amp)
-
-    walk(0, units, 0, 0, Fraction(1))
-    terms: dict = {}
-    for (used, count), amp in acc.items():
-        if amp:
-            e = mode_of_unit(used)
-            terms[e] = terms.get(e, MarkerPoly(())) + MarkerPoly.x_power(count, amp)
-    return MarkerSeries.from_terms(terms.items(), order)
+    diag0, free = _state_tables(L, units, unit_values, mode_of_unit)
+    acc, n = diag0, RANK - 1
+    while n:
+        if n & 1:
+            acc = _convolve(acc, free)
+        n >>= 1
+        if n:
+            free = _convolve(free, free)
+    return _table_series(acc, mode_of_unit, order)
 
 
 def brute_trace_M1(L: int, max_grade: int) -> MarkerSeries:
     """Rank-24 trace by full state enumeration through q^max_grade."""
     _check_norm(L)
     values = set(range(1, max_grade + 1))
-    return _colored_trace(L, max_grade, values, Fraction, Fraction(max_grade + 1))
+    return _colored_trace(L, max_grade, values, int, max_grade + 1)
 
 
 def brute_twisted_trace(L: int, max_units: int) -> MarkerSeries:

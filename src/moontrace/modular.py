@@ -204,7 +204,8 @@ def space_basis(kind: str, weight: int, order) -> FormSpace:
     """Exact basis of M_k (holomorphic), S_k (cusp), or F_k (pole-allowed).
 
     F_k elements are g/Delta for g in M_{k+12}, restricted to zero constant
-    term; the returned basis is in echelon form by leading exponent.
+    term; the returned basis is in echelon form by leading exponent.  Raises
+    ValueError when `order` is too small to certify the full dimension.
     """
     if kind not in ("M", "S", "F"):
         raise ValueError("space kind must be 'M', 'S', or 'F'")
@@ -263,6 +264,10 @@ def space_basis(kind: str, weight: int, order) -> FormSpace:
         # rows of `mat` are the combos' coefficient vectors
         mat = [[rows[i][j] for i in range(len(rows))] for j in range(len(combos))]
         red, pivots = _linalg.rref(mat)
+        if len(pivots) < len(kernel):
+            # the combos are independent series; a lost row means a combination
+            # vanishes below `bound`, so the basis would be short of dim F_k
+            raise ValueError(f"order {order} too small to certify independence of F_{weight}")
         basis_list, labels_list = [], []
         for i, _ in enumerate(pivots):
             acc = RationalSeries.from_terms(
@@ -273,9 +278,7 @@ def space_basis(kind: str, weight: int, order) -> FormSpace:
         basis, labels = tuple(basis_list), tuple(labels_list)
     else:
         basis, labels = (), ()
-    space = FormSpace("F", weight, basis, labels)
-    _certify_independent(basis, order, f"F_{weight}")
-    return space
+    return FormSpace("F", weight, basis, labels)
 
 
 def fit(f: RationalSeries, space: FormSpace):

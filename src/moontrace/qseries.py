@@ -348,9 +348,6 @@ class _SeriesBase:
                 base = base * base
         return result
 
-    def __pow__(self, n: int):
-        return self.pow_int(n)
-
     def _shift(self, e: Fraction):
         """Multiply by q^e exactly (pure reindexing; no knowledge change)."""
         e = _as_fraction(e)

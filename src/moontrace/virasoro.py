@@ -89,9 +89,6 @@ class VirCombo:
         body = " + ".join(f"{c}*{wname(w)}" for w, c in sorted(self.terms.items()))
         return f"VirCombo({body or '0'})"
 
-    def added_weight(self, word: VirWord) -> int:
-        return -sum(word)
-
     def to_json_obj(self) -> dict:
         return {
             "h": str(self.hw.h),
@@ -201,10 +198,6 @@ def reduce_word(word) -> dict:
     return {w: c for w, c in out.items() if c}
 
 
-def _eisenstein_table(max_l: int, order) -> dict:
-    return {l: modular.eisenstein(2 * l, order) for l in range(2, max_l + 1)}
-
-
 def descendant_zpoint(word, seed: HWSeed, order) -> RationalSeries:
     """1-point series of `word` applied to the seed's highest-weight vector.
 
@@ -222,7 +215,7 @@ def descendant_zpoint(word, seed: HWSeed, order) -> RationalSeries:
     hw = seed.context()
     total_weight = -sum(word)
     e_order = max(seed.series.order, order) + 2
-    etable = _eisenstein_table(total_weight // 2 + 2, e_order)
+    etable = {l: modular.eisenstein(2 * l, e_order) for l in range(2, total_weight // 2 + 3)}
     zero = RationalSeries.zero(seed.series.order)
     cache: dict = {}
 
@@ -283,7 +276,7 @@ def vacuum_zpoint(k: int, order) -> RationalSeries:
     order = Fraction(order)
     e_order = order + 2
     z = [modular.jfunction(order + 1)]
-    etable = _eisenstein_table(k + 1, e_order)
+    etable = {l: modular.eisenstein(2 * l, e_order) for l in range(2, k + 2)}
     for r in range(1, k + 1):
         cur = modular.serre_derive(z[r - 1], 2 * (r - 1))
         for l in range(2, r + 1):

@@ -1,3 +1,4 @@
+import random
 import warnings
 from collections import Counter
 from fractions import Fraction as F
@@ -5,8 +6,14 @@ from math import comb, factorial
 
 import pytest
 
+import reference_fock
 from moontrace import fock, modular
 from moontrace.qseries import MarkerPoly, MarkerSeries
+
+# the fixed norms of the verify examples, plus a seeded draw of other even norms
+ORACLE_NORMS = (2, 16, 24, 32, 512) + tuple(
+    random.Random("fock-oracle").sample(range(4, 1026, 2), 3)
+)
 
 
 def test_closed_trace_low_orders():
@@ -53,6 +60,51 @@ def product_formula_trace(L, max_grade):
 def test_product_formula_route():
     for L in (2, 16, 24):
         assert product_formula_trace(L, 4) == fock.closed_trace_A(L, 5), L
+
+
+def _same(a, b):
+    return (a.denom, a.terms, a.order) == (b.denom, b.terms, b.order)
+
+
+@pytest.mark.parametrize("units", range(7))
+def test_twisted_tables_match_walk(units):
+    walk = reference_fock.twisted_traces(ORACLE_NORMS, units)
+    for L in ORACLE_NORMS:
+        assert _same(fock.brute_twisted_trace(L, units), walk[L]), L
+
+
+@pytest.mark.parametrize("grade", range(4))
+def test_rank_24_tables_match_walk(grade):
+    walk = reference_fock.traces_M1(ORACLE_NORMS, grade)
+    for L in ORACLE_NORMS:
+        assert _same(fock.brute_trace_M1(L, grade), walk[L]), L
+
+
+@pytest.mark.parametrize("grade", range(7))
+def test_single_oscillator_table_matches_enumeration(grade):
+    for L in ORACLE_NORMS:
+        assert _same(fock.brute_trace_A(L, grade), reference_fock.trace_A(L, grade)), L
+
+
+def test_oracle_uses_no_closed_form(monkeypatch):
+    expect = {
+        "A": fock.closed_trace_A(24, 5),
+        "M1": fock.closed_trace_M1(24, 3),
+        "twisted": fock.twisted_closed_trace(24, 4),
+        "total": fock.z_total(16, 4),
+    }
+
+    def refuse(*_args, **_kwargs):
+        raise AssertionError("the brute-force oracle reached a closed form")
+
+    monkeypatch.setattr(MarkerSeries, "exp_series", refuse)
+    for name in ("_exp_argument", "_geometric", "closed_trace_A", "closed_trace_M1",
+                 "twisted_closed_trace"):
+        monkeypatch.setattr(fock, name, refuse)
+    assert fock.brute_trace_A(24, 4) == expect["A"]
+    assert fock.brute_trace_M1(24, 2) == expect["M1"]
+    assert fock.brute_twisted_trace(24, 4) == expect["twisted"]
+    assert fock.z_total_brute(16, 4) == expect["total"]
 
 
 def test_brute_matches_closed_single_oscillator():

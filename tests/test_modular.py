@@ -169,6 +169,33 @@ def test_space_dims():
         modular.space_basis("M", -4, 8)
 
 
+def _dim_M(k):
+    if k < 0 or k % 2:
+        return 0
+    return k // 12 + (0 if k % 12 == 2 else 1)
+
+
+def _dim_F(k):
+    # weight 2 is the exception: the residue theorem kills the constant term
+    # of E4^2 E6 / Delta, so that candidate already lies in F_2
+    return 1 if k == 2 else max(0, _dim_M(k + 12) - 1)
+
+
+def test_space_dims_match_formulas():
+    for k in range(0, 62, 2):
+        assert modular.space_basis("M", k, 24).dim == _dim_M(k), k
+        assert modular.space_basis("S", k, 24).dim == _dim_M(k - 12), k
+    for k in range(-12, 62, 2):
+        assert modular.space_basis("F", k, 24).dim == _dim_F(k), k
+
+
+@pytest.mark.parametrize("weight, order", [(12, 1), (24, 2), (36, 3), (48, 4)])
+def test_short_f_basis_refused(weight, order):
+    with pytest.raises(ValueError, match=f"F_{weight}"):
+        modular.space_basis("F", weight, order)
+    assert modular.space_basis("F", weight, order + 1).dim == _dim_F(weight)
+
+
 def test_space_labels_and_json():
     s12 = modular.space_basis("S", 12, 8)
     assert s12.labels == ("Delta*1",)
