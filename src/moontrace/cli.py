@@ -12,18 +12,14 @@ import json
 import sys
 from fractions import Fraction
 
-from . import fock, lattice, modular, virasoro
+from . import fock, identities, lattice, modular, virasoro
+from .identities import MAX_K, MAX_NORM
 from .qseries import RouteDisagreement, TruncationError
-
-# brute-force depth caps so `verify` stays interactive at the default order
-ORACLE_GRADE_CAP = 6        # single-oscillator brute force, q-grade
-TWISTED_UNIT_CAP = 6        # rank-24 twisted brute force, half-integer units
 
 # largest accepted inputs (in absolute value); every request within them
 # finishes in about a minute at most, anything beyond is refused up front
+# (MAX_NORM and MAX_K come from the identity registry)
 MAX_ORDER = 200             # --order
-MAX_NORM = 512              # --norm and the L of identity parameters
-MAX_K = 32                  # --k and prop31:KMAX
 MAX_WEIGHT = 128            # spaces --weight and the K of eisenstein:K
 
 
@@ -91,158 +87,18 @@ def _cmd_expand(args) -> int:
 
 # --- verify -----------------------------------------------------------------
 
-def _verify_theta_quartic(order, _skip):
-    t = [modular.theta(i, order) for i in (1, 2, 3)]
-    residual = t[0].pow_int(4) + t[1].pow_int(4) - t[2].pow_int(4)
-    ok = residual.is_zero()
-    return ok, residual.order, {"residual": residual}
-
-
-def _verify_theta_eta_quotients(order, _skip):
-    head = order + 2
-    eta1 = modular.eta(head)
-    eta2 = modular.eta(head).rescale(2)
-    eta_half = modular.eta(2 * head).rescale(Fraction(1, 2))
-    quotients = {
-        1: (eta2.pow_int(2) / eta1) * 2,
-        2: eta_half.pow_int(2) / eta1,
-        3: eta1.pow_int(5) / (eta_half.pow_int(2) * eta2.pow_int(2)),
-    }
-    routes = {}
-    ok = True
-    certified = order
-    for i, quo in quotients.items():
-        prod = modular.theta(i, order)
-        quo = quo.truncate(order)
-        routes[f"theta{i}_product"] = prod
-        routes[f"theta{i}_quotient"] = quo
-        certified = min(certified, prod.order, quo.order)
-        ok = ok and prod == quo
-    return ok, certified, routes
-
-
-def _verify_serre_delta(order, _skip):
-    residual = modular.serre_derive(modular.delta(order + 1), 12).truncate(order)
-    return residual.is_zero(), residual.order, {"residual": residual}
-
-
-def _verify_fock_oracle(order, skip, L):
-    grade = min(ORACLE_GRADE_CAP, int(order) - 1)
-    closed = fock.closed_trace_A(L, grade + 1)
-    if skip:
-        return None, Fraction(0), {"closed": closed}
-    brute = fock.brute_trace_A(L, grade)
-    ok = brute == closed
-    return ok, min(brute.order, closed.order), {"closed": closed, "brute": brute}
-
-
-def _verify_twisted_oracle(order, skip, L):
-    units = max(1, min(TWISTED_UNIT_CAP, int(2 * order) - 4))
-    closed = fock.twisted_closed_trace(L, Fraction(units + 4, 2))
-    if skip:
-        return None, Fraction(0), {"closed": closed}
-    brute = fock.brute_twisted_trace(L, units)
-    ok = brute == closed
-    return ok, min(brute.order, closed.order), {"closed": closed, "brute": brute}
-
-
-def _verify_equivariant_identity(order, _skip, L):
-    spec = lattice.identity_spec(L)
-    via_lattice = lattice.equivariant_z(spec, L, order)
-    via_fock = fock.z_total(L, order)
-    ok = via_lattice == via_fock
-    certified = min(via_lattice.order, via_fock.order)
-    return ok, certified, {"equivariant": via_lattice, "two_sector": via_fock}
-
-
-def _verify_prop31(order, _skip, kmax):
-    ok = True
-    certified = order
-    routes = {}
-    for k in range(kmax + 1):
-        z = virasoro.vacuum_zpoint(k, order)
-        lead = z.coeff(Fraction(-1))
-        sign_ok = (lead > 0) if k % 2 == 0 else (lead < 0)
-        const_ok = z.coeff(Fraction(0)) == 0
-        space = modular.space_basis("F", 2 * k, order)
-        coeffs = modular.fit(z, space)
-        routes[f"k={k}"] = (
-            f"leading {lead}*q^-1, constant 0: {const_ok}, "
-            f"fits F_{2 * k}: {coeffs is not None}"
-        )
-        certified = min(certified, z.order)
-        ok = ok and sign_ok and const_ok and coeffs is not None
-    return ok, certified, routes
-
-
-def _canonical_words(max_added):
-    """L[-p1] ... L[-pk] for every partition p1 >= ... >= pk of 1..max_added."""
-    return [tuple(-p for p in part) for total in range(1, max_added + 1)
-            for part in fock._partitions(total, list(range(total, 0, -1)))]
-
-
-def _verify_ideal(order, _skip, L):
-    weight = L // 2
-    if weight % 2:
-        raise ValueError("the seed weight L/2 must be even")
-    seed_series = fock.z_total(L, order + 2)
-    seed = virasoro.HWSeed(weight=weight, series=seed_series)
-    ok = True
-    certified = order
-    routes = {}
-    for word in _canonical_words(6):
-        added = -sum(word)
-        z = virasoro.descendant_zpoint(word, seed, order)
-        decomposition = virasoro.partial_ideal_member(
-            z, seed_series.truncate(order), weight, weight + added, order
-        )
-        member = decomposition is not None
-        routes[f"word L{list(word)}"] = (
-            f"trace order {z.order}, ideal member: {member}"
-        )
-        certified = min(certified, z.order)
-        ok = ok and member
-    return ok, certified, routes
-
-
 def _cmd_verify(args) -> int:
-    name, _, suffix = args.identity.partition(":")
-    # name -> (check, default parameter, largest parameter)
-    checks = {
-        "theta-quartic": (_verify_theta_quartic, None, None),
-        "theta-eta-quotients": (_verify_theta_eta_quotients, None, None),
-        "serre-delta-zero": (_verify_serre_delta, None, None),
-        "fock-oracle": (_verify_fock_oracle, 24, MAX_NORM),
-        "twisted-oracle": (_verify_twisted_oracle, 24, MAX_NORM),
-        "equivariant-identity-case": (_verify_equivariant_identity, 24, MAX_NORM),
-        "prop31": (_verify_prop31, 5, MAX_K),
-        "ideal": (_verify_ideal, 24, MAX_NORM),
-    }
-    if name not in checks:
-        raise ValueError(f"unknown identity {args.identity!r}")
-    func, default_arg, limit = checks[name]
-    if default_arg is None:
-        if suffix:
-            raise ValueError(f"identity {name!r} takes no parameter")
-        ok, certified, routes = func(args.order, args.skip_oracle)
-    else:
-        arg = int(suffix) if suffix else default_arg
-        # a negative prop31:KMAX would check nothing and pass vacuously
-        if not 0 <= arg <= limit:
-            raise ValueError(f"the parameter of {name!r} must lie in 0..{limit}")
-        ok, certified, routes = func(args.order, args.skip_oracle, arg)
-    status = "skipped" if ok is None else ("ok" if ok else "fail")
+    ok, certified, routes = identities.verify(args.identity, args.order)
     payload = {
         "identity": args.identity,
         "requested_order": str(args.order),
         "certified_order": str(certified),
-        "status": status,
+        "status": "ok" if ok else "fail",
+        "agree": ok,
+        "routes": {k: _series_payload(v, args.format) for k, v in routes.items()},
     }
-    if ok is not None:
-        payload["agree"] = ok
-    payload["routes"] = {k: _series_payload(v, args.format) for k, v in routes.items()}
     _emit(payload, args.format)
-    return 0 if status in ("ok", "skipped") else 1
+    return 0 if ok else 1
 
 
 # --- traces and spaces ------------------------------------------------------
@@ -337,13 +193,10 @@ def _build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("verify", parents=[common], help="check a stated identity")
     p.add_argument(
         "--identity", required=True,
-        help="theta-quartic, theta-eta-quotients, serre-delta-zero, "
-        "fock-oracle:L, twisted-oracle:L, equivariant-identity-case:L, "
-        "prop31:KMAX, or ideal:L",
-    )
-    p.add_argument(
-        "--skip-oracle", action="store_true",
-        help="skip brute-force oracle recomputation (status becomes 'skipped')",
+        help=", ".join(
+            name if default is None else f"{name}:N (default {default}, at most {limit})"
+            for name, (_, default, limit) in identities.IDENTITIES.items()
+        ),
     )
     p.set_defaults(func=_cmd_verify)
 

@@ -496,15 +496,6 @@ class MarkerSeries(_SeriesBase):
     _digits = staticmethod(lambda c: c.coeffs)
     _from_digits = MarkerPoly
 
-    @classmethod
-    def from_rational(cls, series: RationalSeries) -> "MarkerSeries":
-        terms = {e: MarkerPoly.const(c) for e, c in series.terms.items()}
-        return cls(series.denom, terms, series.order)
-
-    def marker_bound(self) -> int:
-        """Largest marker degree appearing in any known coefficient."""
-        return max((c.degree for c in self.terms.values()), default=-1)
-
     def eval_marker(self, x0) -> RationalSeries:
         """Evaluate the marker at x0 in {+1, -1}, collapsing to a RationalSeries."""
         x0 = _as_fraction(x0)

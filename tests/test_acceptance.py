@@ -3,41 +3,29 @@ from fractions import Fraction as F
 
 from conftest import record
 
-from moontrace import fock, modular, virasoro
-from moontrace.lattice import equivariant_z, identity_spec
+from moontrace import fock, identities, modular
+
+
+def verified(identity, order):
+    """The registry's verdict on `identity`, certified through at least `order`."""
+    ok, certified, _ = identities.verify(identity, order)
+    return ok and certified >= order
 
 
 def test_criterion_01_theta_quartic():
-    t1, t2, t3 = (modular.theta(i, 21) for i in (1, 2, 3))
-    res = t1.pow_int(4) + t2.pow_int(4) - t3.pow_int(4)
-    ok = res.is_zero() and res.order >= 21
+    ok = verified("theta-quartic", 21)
     assert record(1, "theta quartic identity vanishes through q^20", ok)
 
 
 def test_criterion_02_theta_eta_quotients():
-    order = F(21)
-    head = order + 4
-    e = modular.eta(head)
-    e2t = modular.eta(2 * head).rescale(2)
-    eh = modular.eta(2 * head).rescale(F(1, 2))
-    ok = (
-        modular.theta(1, order) == (e2t.pow_int(2) * e.invert() * 2).truncate(order)
-        and modular.theta(2, order) == (eh.pow_int(2) * e.invert()).truncate(order)
-        and modular.theta(3, order)
-        == (e.pow_int(5) * (eh.pow_int(2) * e2t.pow_int(2)).invert()).truncate(order)
-    )
+    ok = verified("theta-eta-quotients", 21)
     assert record(2, "theta constants match their eta-quotient forms through q^20", ok)
 
 
 def test_criterion_03_fock_oracle():
-    ok = all(
-        fock.brute_trace_A(L, 6) == fock.closed_trace_A(L, 7) for L in (2, 16, 24)
-    )
+    ok = all(verified(f"fock-oracle:{L}", 7) for L in (2, 16, 24))
     # twisted: six half-integer units reach three grades above the q^{3/2} floor
-    ok = ok and all(
-        fock.brute_twisted_trace(L, 6) == fock.twisted_closed_trace(L, 5)
-        for L in (16, 24)
-    )
+    ok = ok and all(verified(f"twisted-oracle:{L}", 5) for L in (16, 24))
     assert record(3, "brute-force Fock traces equal the closed forms", ok)
 
 
@@ -57,44 +45,16 @@ def test_criterion_05_cusp_form_fits():
 
 
 def test_criterion_06_vacuum_traces():
-    ok = True
-    for k in range(6):
-        v = virasoro.vacuum_zpoint(k, 16)
-        eps = v.coeff(-1)
-        ok = ok and eps != 0 and (-1) ** k * eps > 0
-        ok = ok and v.coeff(0) == 0
-        ok = ok and modular.fit(v, modular.space_basis("F", 2 * k, 16)) is not None
+    # k = 0..5: alternating sign of the q^-1 coefficient, constant 0, fits F_2k
+    ok = verified("prop31:5", 16)
     assert record(
         6, "vacuum descendant traces: alternating q^-1 pole, no constant, in F_2k", ok
     )
 
 
-def _words_up_to(max_added):
-    def parts(n, maxpart):
-        if n == 0:
-            yield ()
-            return
-        for p in range(min(n, maxpart), 0, -1):
-            for rest in parts(n - p, p):
-                yield (p,) + rest
-
-    for w in range(1, max_added + 1):
-        for part in parts(w, w):
-            yield tuple(-p for p in part)
-
-
 def test_criterion_07_ideal_membership():
-    order = F(11)
-    seed = virasoro.HWSeed(12, fock.z_total(24, order + 2))
-    gen = seed.series.truncate(order)
-    ok = True
-    count = 0
-    for word in _words_up_to(6):
-        f = virasoro.descendant_zpoint(word, seed, order)
-        sol = virasoro.partial_ideal_member(f, gen, 12, 12 - sum(word), order)
-        ok = ok and sol is not None
-        count += 1
-    ok = ok and count == 29
+    ok, certified, words = identities.verify("ideal:24", 11)
+    ok = ok and certified >= 11 and len(words) == 29
     assert record(7, "descendant traces of the norm-24 seed are ideal members", ok)
 
 
@@ -109,10 +69,7 @@ def test_criterion_08_serre_closure():
 
 
 def test_criterion_09_equivariant_identity_case():
-    ok = all(
-        equivariant_z(identity_spec(L), L, 11) == fock.z_total(L, 11)
-        for L in (16, 24)
-    )
+    ok = all(verified(f"equivariant-identity-case:{L}", 11) for L in (16, 24))
     assert record(9, "identity-automorphism trace equals the two-sector form", ok)
 
 

@@ -1,9 +1,10 @@
 import json
 import warnings
+from fractions import Fraction
 
 import pytest
 
-from moontrace import cli
+from moontrace import cli, identities
 from moontrace.lattice import identity_spec
 
 
@@ -79,16 +80,6 @@ def test_verify_fock_oracle(capsys):
     # brute force runs at min(cap, order - 1) = grade 4
     assert payload["certified_order"] == "5"
     assert "closed" in payload["routes"] and "brute" in payload["routes"]
-
-
-def test_verify_skip_oracle(capsys):
-    code, out, _ = run(capsys, "verify", "--identity", "fock-oracle:16",
-                       "--order", "5", "--skip-oracle")
-    assert code == 0
-    payload = json.loads(out)
-    assert payload["status"] == "skipped"
-    assert payload["certified_order"] == "0"
-    assert "agree" not in payload
 
 
 def test_verify_prop31(capsys):
@@ -218,15 +209,51 @@ def test_prop31_negative_kmax_refused(capsys):
     assert out == "" and "0..32" in err
 
 
-def test_route_disagreement_exits_1(capsys, monkeypatch):
-    # one route to the untwisted sector disagrees with the other: a failed
-    # identity (exit 1), not an input error (exit 2)
+def scale_theta(monkeypatch, which):
+    """Make theta constant `which` three times too large."""
     from moontrace import modular
     theta = modular.theta
-    monkeypatch.setattr(modular, "theta", lambda which, order: theta(which, order) * 3)
+    monkeypatch.setattr(
+        modular, "theta", lambda i, order: theta(i, order) * (3 if i == which else 1)
+    )
+
+
+def test_route_disagreement_exits_1(capsys, monkeypatch):
+    # theta2 no longer pairs with theta3, so the twisted sector's half-integer
+    # exponents fail to cancel: a failed identity (exit 1), not an input error
+    scale_theta(monkeypatch, 2)
     code, out, err = exit_code(capsys, "lattice-trace", "--norm", "24", "--order", "4")
     assert code == 1
     assert out == "" and "identity failed" in err
+
+
+def test_wrong_theta1_fails_its_eta_quotient(capsys, monkeypatch):
+    # z_untwisted takes theta1 on trust; the eta-quotient identity catches it
+    scale_theta(monkeypatch, 1)
+    code, out, _ = exit_code(capsys, "verify", "--identity", "theta-eta-quotients",
+                             "--order", "4")
+    assert code == 1
+    payload = json.loads(out)
+    assert payload["status"] == "fail" and payload["agree"] is False
+
+
+@pytest.mark.parametrize("name", identities.IDENTITIES)
+@pytest.mark.parametrize("order", ["5/2", "3", "20"])
+def test_every_identity_certifies_within_the_request(capsys, name, order):
+    code, out, _ = exit_code(capsys, "verify", "--identity", name, "--order", order)
+    payload = json.loads(out)
+    assert code == 0 and payload["agree"] is True and payload["routes"]
+    assert Fraction(payload["certified_order"]) <= Fraction(order)
+
+
+@pytest.mark.parametrize("identity, order", [
+    ("fock-oracle:16", "1"), ("fock-oracle:16", "3/2"),
+    ("twisted-oracle:16", "1"), ("twisted-oracle:16", "2"),
+])
+def test_vacuous_oracle_order_refused(capsys, identity, order):
+    # below these orders both legs are the bare leading term: nothing is compared
+    code, out, err = exit_code(capsys, "verify", "--identity", identity, "--order", order)
+    assert code == 2 and out == "" and "order at least" in err
 
 
 @pytest.mark.parametrize("argv", [
@@ -273,6 +300,7 @@ def test_input_limits_accept_their_bounds(capsys):
     ("lattice-trace", "--norm", "7"),
     ("spaces", "--kind", "S", "--weight", "3"),
     ("equivariant", "--spec", "no-such-spec.json", "--norm", "16"),
+    ("verify", "--identity", "fock-oracle:16", "--skip-oracle"),
 ])
 def test_malformed_requests_exit_2(capsys, argv):
     code, out, _ = exit_code(capsys, *argv)

@@ -32,22 +32,13 @@ def test_closed_trace_deeper_frozen():
     assert f.coeff(4) == MarkerPoly((0, -3, 82, -679, 705))
 
 
-def _parts(n, maxpart):
-    if n == 0:
-        yield ()
-        return
-    for p in range(min(n, maxpart), 0, -1):
-        for rest in _parts(n - p, p):
-            yield (p,) + rest
-
-
 def product_formula_trace(L, max_grade):
     # independent route: the diagonal entry of a partition state factorizes
     # over its distinct modes as sum_p C(k,p) (-L/i)^p / p!
     terms = {}
     for g in range(max_grade + 1):
         by_count = {}
-        for part in _parts(g, g):
+        for part in fock._partitions(g, list(range(g, 0, -1))):
             diag = F(1)
             for i, k in Counter(part).items():
                 diag *= sum(comb(k, p) * F(-L, i) ** p / factorial(p) for p in range(k + 1))
@@ -139,16 +130,61 @@ def test_untwisted_closed_form_frozen():
     assert z.coeff(2) == 1 and z.coeff(4) == -24 and z.coeff(3) == 0
 
 
+def eta_quotient_untwisted(L, order):
+    """The untwisted sector as eta(2t)^{2L-24} / eta(t)^{L-24}, without theta1."""
+    order = F(order)
+    e1 = modular.eta(order + 4)
+    return (e1.rescale(2).pow_int(2 * L - 24) * e1.pow_int(24 - L)).truncate(order)
+
+
+def z_untwisted_routes(L, order):
+    """Three independent routes to the untwisted contribution."""
+    order = F(order)
+    shift = F(L, 8) - 1
+    marker = fock.closed_trace_M1(L, order - shift).eval_marker(-1)._shift(shift)
+    return {
+        "eta_quotient": eta_quotient_untwisted(L, order),
+        "theta_form": fock.z_untwisted(L, order),
+        "marker_trace": marker.truncate(order),
+    }
+
+
+def z_twisted_routes(L, order):
+    """Closed theta form and the marker-trace route to the twisted contribution."""
+    order = F(order)
+    g = fock.twisted_closed_trace(L, order + 1)
+    diff = g.eval_marker(1) - g.eval_marker(-1)
+    marker = (diff._shift(F(-1)) * F(2) ** (12 - L)).truncate(order)
+    return {"theta_form": fock.z_twisted(L, order), "marker_trace": marker}
+
+
 def test_untwisted_routes_agree():
     for L in (16, 24):
-        r = fock.z_untwisted_routes(L, 6)
+        r = z_untwisted_routes(L, 6)
         assert r["eta_quotient"] == r["theta_form"] == r["marker_trace"], L
 
 
 def test_twisted_routes_agree():
     for L in (16, 24):
-        r = fock.z_twisted_routes(L, 4)
+        r = z_twisted_routes(L, 4)
         assert r["theta_form"] == r["marker_trace"], L
+
+
+EXPLORATION_NORMS = tuple(random.Random("z-untwisted").sample(
+    [L for L in range(2, 514, 2) if L < 16 or L % 8], 2
+))
+
+
+@pytest.mark.parametrize("L", (16, 24, 32, 48, 512) + EXPLORATION_NORMS)
+def test_untwisted_theta_form_matches_eta_quotient(L):
+    # z_untwisted computes the theta form only; the eta quotient is its oracle
+    for order in (F(1, 2), F(7, 2), 20, 62, 90):
+        if L in EXPLORATION_NORMS:
+            with pytest.warns(RuntimeWarning):
+                z = fock.z_untwisted(L, order)
+        else:
+            z = fock.z_untwisted(L, order)
+        assert _same(z, eta_quotient_untwisted(L, order)), (L, order)
 
 
 def test_z_total_norm_16_vanishes():
