@@ -1,62 +1,64 @@
 """Exact linear algebra over the rationals and the integers.
 
 Small dense routines backing form-space fits, kernel extraction, and lattice
-sublattice computation.  Everything is Fraction- or int-exact; no floating
-point anywhere.
+sublattice computation.  Everything is exact, with no floating point anywhere;
+rational elimination runs fraction-free on integers.
 """
 from __future__ import annotations
 
 from fractions import Fraction
+from math import lcm
 
 __all__ = ["rref", "rank", "solve_in_span", "nullspace", "int_kernel", "row_hnf"]
 
 
-def rref(rows):
-    """Reduced row echelon form; returns (matrix, pivot column indices)."""
-    m = [[Fraction(x) for x in row] for row in rows]
-    if not m:
-        return [], []
-    ncols = len(m[0])
-    pivots = []
-    r = 0
-    for c in range(ncols):
+def _eliminate(rows):
+    """Gauss-Jordan on rational rows, each cleared to integers by one lcm.
+
+    Bareiss' rule (Math. Comp. 22, 1968), row <- (p row - row[c] pivot_row) / d
+    for pivot p after pivot d, divides exactly: every entry stays a minor.
+    Returns (m, pivots, d): m's first len(pivots) rows are d times the nonzero
+    rows of the reduced row echelon form, the rest are zero.
+    """
+    m = [[x.numerator * (den // x.denominator) for x in row]
+         for row in rows for den in [lcm(*(x.denominator for x in row))]]
+    pivots, d = [], 1
+    for c in range(len(m[0]) if m else 0):
+        r = len(pivots)
         piv = next((i for i in range(r, len(m)) if m[i][c]), None)
         if piv is None:
             continue
         m[r], m[piv] = m[piv], m[r]
-        inv = 1 / m[r][c]
-        m[r] = [x * inv for x in m[r]]
-        for i in range(len(m)):
-            if i != r and m[i][c]:
-                f = m[i][c]
-                m[i] = [x - f * y for x, y in zip(m[i], m[r])]
+        prow, p = m[r], m[r][c]
+        for i, row in enumerate(m):
+            if i != r:
+                f = row[c]
+                m[i] = [(p * x - f * y) // d for x, y in zip(row, prow)]
+        d = p
         pivots.append(c)
-        r += 1
-        if r == len(m):
-            break
-    return m, pivots
+    return m, pivots, d
+
+
+def rref(rows):
+    """Reduced row echelon form; returns (matrix, pivot column indices)."""
+    m, pivots, d = _eliminate(rows)
+    return [[Fraction(x, d) for x in row] for row in m], pivots
 
 
 def rank(rows) -> int:
-    return len(rref(rows)[1])
+    return len(_eliminate(rows)[1])
 
 
 def solve_in_span(columns, target):
-    """Solve sum_j x_j * columns[j] = target exactly.
-
-    columns and target are equal-length sequences of Fractions.  Returns the
-    coefficient list, or None when target is outside the span.  Free
-    coefficients (if the columns are dependent) are set to zero.
-    """
+    """Coefficients x with sum_j x_j * columns[j] = target exactly, or None when
+    target is outside the span; free coefficients (dependent columns) are 0."""
     ncols = len(columns)
-    nrows = len(target)
-    aug = [[columns[j][i] for j in range(ncols)] + [target[i]] for i in range(nrows)]
-    m, pivots = rref(aug)
+    m, pivots, d = _eliminate([*col, t] for *col, t in zip(*columns, target))
     if ncols in pivots:
         return None  # inconsistent: pivot in the target column
     x = [Fraction(0)] * ncols
     for r, c in enumerate(pivots):
-        x[c] = m[r][ncols]
+        x[c] = Fraction(m[r][ncols], d)
     return x
 
 
@@ -64,15 +66,12 @@ def nullspace(rows):
     """Basis of the rational kernel {x : rows @ x = 0}, one list per vector."""
     if not rows:
         return []
-    m, pivots = rref(rows)
-    ncols = len(rows[0])
-    free = [c for c in range(ncols) if c not in pivots]
+    m, pivots, d = _eliminate(rows)
     basis = []
-    for f in free:
-        v = [Fraction(0)] * ncols
-        v[f] = Fraction(1)
+    for f in (c for c in range(len(rows[0])) if c not in pivots):
+        v = [Fraction(int(c == f)) for c in range(len(rows[0]))]
         for r, c in enumerate(pivots):
-            v[c] = -m[r][f]
+            v[c] = Fraction(-m[r][f], d)
         basis.append(v)
     return basis
 

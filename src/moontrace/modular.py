@@ -8,16 +8,22 @@ monomials E_4^a E_6^b with 4a + 6b = k; cusp spaces multiply by Delta; the
 pole-allowed spaces divide weight-(k+12) forms by Delta and remove the
 constant term.
 
-E_k, Delta and j are each built once per power-of-two order (at least 16) and
-every call is cut from that table with `truncate`, which copies; the
-sigma_{k-1}(n) of E_k come from one divisor sieve over the table's range.
+E_k, Delta, j and the form spaces are each built once per power-of-two order
+(at least 16) and every call is cut from that table with `truncate`, which
+copies; the sigma_{k-1}(n) of E_k come from one divisor sieve over the table's
+range, and 1/Delta from the integer recurrence of prod (1 - q^n)^-24.  A space
+is certified at the requested order from its table's pivot exponents and, if
+short, refused as a space built at that order would be.  Fits, certificates
+and ideal membership read coefficients through `coeff_vectors` and eliminate
+fraction-free (`_linalg`); the per-order Fraction routes are the tests'
+differential oracles (`reference_series.space_basis`, `reference_linalg`).
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cache
-from math import ceil, factorial
+from math import ceil, factorial, lcm
 
 from . import _linalg
 from .qseries import RationalSeries, TruncationError
@@ -31,6 +37,7 @@ __all__ = [
     "jfunction",
     "serre_derive",
     "FormSpace",
+    "coeff_vectors",
     "space_basis",
     "fit",
 ]
@@ -138,9 +145,25 @@ def theta(which: int, order) -> RationalSeries:
 
 
 @cache
+def _delta_inverse(top: int) -> RationalSeries:
+    """1/Delta = q^-1 prod (1 - q^n)^-24 through order `top`, shared by j and F_k.
+
+    The product's logarithmic derivative is 24 sum sigma(n) q^n, so its
+    integer coefficients satisfy n a_n = 24 sum_{k=1}^{n} sigma(k) a_{n-k}.
+    """
+    sigma = [0] * (top + 1)
+    for d in range(1, top + 1):
+        for m in range(d, top + 1, d):
+            sigma[m] += d
+    a = [1]
+    for n in range(1, top + 1):
+        a.append(24 * sum(sigma[k] * a[n - k] for k in range(1, n + 1)) // n)
+    return RationalSeries(1, {n - 1: Fraction(c) for n, c in enumerate(a)}, top)
+
+
+@cache
 def _jfunction_table(top: int) -> RationalSeries:
-    head = top + 2
-    raw = eisenstein(4, head).pow_int(3) * delta(head).invert()
+    raw = eisenstein(4, top + 2).pow_int(3) * _delta_inverse(top)
     raw = raw * (Fraction(1) / raw.coeff(-1))
     return raw - raw.coeff(0)
 
@@ -185,19 +208,106 @@ class FormSpace:
         }
 
 
-def _coeff_rows(series_list, bound):
-    """Coefficient matrix over the union of supports below `bound`."""
-    exps = sorted({e for s in series_list for e in s.support() if e < bound})
-    return [[s.coeff(e) for s in series_list] for e in exps], exps
+def coeff_vectors(series, bound):
+    """Coefficient vectors of `series` over the union of their exponents below `bound`.
+
+    The series are aligned once to their common exponent denominator d and read
+    through `terms`.  Returns (d, exps, vectors): the sorted exponents scaled by
+    d, and for each series its coefficients at those exponents.
+    """
+    d = lcm(*(s.denom for s in series))
+    limit = ceil(bound * d)
+    aligned = [s.terms if s.denom == d else {e * (d // s.denom): c for e, c in s.terms.items()}
+               for s in series]
+    exps = sorted({e for terms in aligned for e in terms if e < limit})
+    zero = Fraction(0)
+    return d, exps, [[terms.get(e, zero) for e in exps] for terms in aligned]
 
 
-def _certify_independent(basis, order, what: str):
-    if not basis:
-        return
-    bound = min(b.order for b in basis)
-    rows, _ = _coeff_rows(basis, bound)
-    if _linalg.rank(rows) != len(basis):
-        raise ValueError(f"order {order} too small to certify independence of {what}")
+def _powers(x: RationalSeries, first: int, step: int, count: int) -> list:
+    """x^first, x^(first + step), ... (count of them, None for x^0), one product a step."""
+    out = [x.pow_int(first) if first else None]
+    stepped = x.pow_int(step) if count > 1 else None
+    for _ in range(count - 1):
+        out.append(stepped if out[-1] is None else out[-1] * stepped)
+    return out
+
+
+def _monomials(weight: int, order):
+    """E_4^a E_6^b with 4a + 6b = weight at `order`, by increasing b, and their labels.
+
+    Along the list b steps by 2 and a by -3, so the powers come one product
+    apart; a factor x^0 = 1 is left out rather than multiplied in.
+    """
+    if weight == 0:
+        return (RationalSeries.one(order),), ("1",)
+    pairs = [((weight - 6 * b) // 4, b) for b in range(weight // 6 + 1)
+             if (weight - 6 * b) % 4 == 0]
+    if not pairs:
+        return (), ()
+    fours = _powers(eisenstein(4, order), pairs[-1][0], 3, len(pairs))[::-1]
+    sixes = _powers(eisenstein(6, order), pairs[0][1], 2, len(pairs))
+    basis = tuple(y if x is None else x if y is None else x * y for x, y in zip(fours, sixes))
+    return basis, tuple(f"E4^{a}*E6^{b}" for a, b in pairs)
+
+
+@cache
+def _space_table(kind: str, weight: int, top: int):
+    """A form space at order `top`: (basis, labels, pivot exponents, dimension).
+
+    The pivot exponents are those of the pivot columns of the reduced echelon
+    form of the coefficient rows, over ascending exponents: the cut at order o
+    has rank #{pivot exponents < o}.  S multiplies the M table at the same
+    `top` by Delta; F builds its M_{k+12} candidates directly at top + 2, not
+    through a cut, which would build an M table at twice the order.  The F
+    basis is that echelon form of the constant-free combinations g/Delta, and
+    its dimension is their number, so a table short of it certifies no order.
+    """
+    if kind == "M":
+        basis, labels = _monomials(weight, top)
+    elif kind == "S":
+        if weight < 12:
+            return (), (), (), 0
+        inner, inner_labels, _, _ = _space_table("M", weight - 12, top)
+        basis = tuple(_delta_table(top) * b for b in inner)
+        labels = tuple(f"Delta*{lab}" for lab in inner_labels)
+    else:
+        dinv = _delta_inverse(top)
+        candidates = [b * dinv for b in _monomials(weight + 12, top + 2)[0]]
+        basis = []
+        for vec in _linalg.nullspace([[c.coeff(0) for c in candidates]]):
+            acc = RationalSeries.zero(top)
+            for x, cand in zip(vec, candidates):
+                if x:
+                    acc = acc + cand * x
+            basis.append(acc)
+    d, exps, rows = coeff_vectors(basis, top)
+    red, pivots = _linalg.rref(rows)
+    dim = len(basis)
+    if kind == "F":
+        basis = tuple(RationalSeries(d, {e: c for e, c in zip(exps, row) if c}, top)
+                      for row in red[:len(pivots)])
+        labels = tuple(f"F{weight}[{i}]" for i in range(len(basis)))
+    return basis, labels, tuple(Fraction(exps[c], d) for c in pivots), dim
+
+
+def _refuse(kind: str, weight: int, order: Fraction, short: bool):
+    """Raise what building the space directly at `order` raises, if anything.
+
+    As in that construction the inner M space refuses first (at order + 2 for
+    F), then Delta and its inverse, then F's constant-term row; a cut with
+    fewer pivot exponents below `order` than the dimension raises last.
+    """
+    if kind == "S" and weight >= 12:
+        space_basis("M", weight - 12, order)
+        delta(order)  # TruncationError at order <= 0
+    elif kind == "F":
+        inner = space_basis("M", weight + 12, order + 2)
+        dinv = delta(order + 2).invert()  # TruncationError at order <= -1
+        if inner.basis:
+            (inner.basis[0] * dinv).coeff(0)  # TruncationError at order <= 0
+    if short:
+        raise ValueError(f"order {order} too small to certify independence of {kind}_{weight}")
 
 
 def space_basis(kind: str, weight: int, order) -> FormSpace:
@@ -205,80 +315,21 @@ def space_basis(kind: str, weight: int, order) -> FormSpace:
 
     F_k elements are g/Delta for g in M_{k+12}, restricted to zero constant
     term; the returned basis is in echelon form by leading exponent.  Raises
-    ValueError when `order` is too small to certify the full dimension.
+    ValueError when `order` is too small to certify the full dimension.  Each
+    space is cut from a table at the power-of-two order above `order` and
+    certified at `order` from the table's pivot exponents.
     """
     if kind not in ("M", "S", "F"):
         raise ValueError("space kind must be 'M', 'S', or 'F'")
-    if weight % 2 or (weight < 0 and kind != "F"):
+    # F_k needs M_{k+12}, so F stops at weight -12
+    if weight % 2 or weight < (-12 if kind == "F" else 0):
         raise ValueError("weight must be a nonnegative even integer")
     order = Fraction(order)
-
-    if kind == "M":
-        if weight == 0:
-            basis = (RationalSeries.one(order),)
-            labels = ("1",)
-        else:
-            e4 = eisenstein(4, order)
-            e6 = eisenstein(6, order)
-            basis_list, labels_list = [], []
-            for b in range(weight // 6 + 1):
-                rem = weight - 6 * b
-                if rem % 4:
-                    continue
-                a = rem // 4
-                basis_list.append(e4.pow_int(a) * e6.pow_int(b))
-                labels_list.append(f"E4^{a}*E6^{b}")
-            basis, labels = tuple(basis_list), tuple(labels_list)
-        space = FormSpace("M", weight, basis, labels)
-        _certify_independent(basis, order, f"M_{weight}")
-        return space
-
-    if kind == "S":
-        if weight < 12:
-            return FormSpace("S", weight, (), ())
-        inner = space_basis("M", weight - 12, order)
-        d = delta(order)
-        basis = tuple(d * b for b in inner.basis)
-        labels = tuple(f"Delta*{lab}" for lab in inner.labels)
-        space = FormSpace("S", weight, basis, labels)
-        _certify_independent(basis, order, f"S_{weight}")
-        return space
-
-    # kind == 'F': quotients by Delta with the constant term removed
-    inner = space_basis("M", weight + 12, order + 2)
-    dinv = delta(order + 2).invert()
-    candidates = [b * dinv for b in inner.basis]
-    const_row = [[c.coeff(0) for c in candidates]]
-    kernel = _linalg.nullspace(const_row)
-    combos = []
-    for vec in kernel:
-        acc = RationalSeries.zero(order)
-        for x, cand in zip(vec, candidates):
-            if x:
-                acc = acc + cand * x
-        combos.append(acc.truncate(order))
-    if combos:
-        bound = min(c.order for c in combos)
-        rows, exps = _coeff_rows(combos, bound)
-        # echelonize the coefficient matrix (columns = combos) transposed:
-        # rows of `mat` are the combos' coefficient vectors
-        mat = [[rows[i][j] for i in range(len(rows))] for j in range(len(combos))]
-        red, pivots = _linalg.rref(mat)
-        if len(pivots) < len(kernel):
-            # the combos are independent series; a lost row means a combination
-            # vanishes below `bound`, so the basis would be short of dim F_k
-            raise ValueError(f"order {order} too small to certify independence of F_{weight}")
-        basis_list, labels_list = [], []
-        for i, _ in enumerate(pivots):
-            acc = RationalSeries.from_terms(
-                {e: c for e, c in zip(exps, red[i]) if c}, bound
-            )
-            basis_list.append(acc)
-            labels_list.append(f"F{weight}[{i}]")
-        basis, labels = tuple(basis_list), tuple(labels_list)
-    else:
-        basis, labels = (), ()
-    return FormSpace("F", weight, basis, labels)
+    basis, labels, pivots, dim = _space_table(kind, weight, _table_order(order))
+    short = sum(1 for e in pivots if e < order) < dim
+    if short or order <= 0:
+        _refuse(kind, weight, order, short)
+    return FormSpace(kind, weight, tuple(b.truncate(order) for b in basis), labels)
 
 
 def fit(f: RationalSeries, space: FormSpace):
@@ -292,9 +343,5 @@ def fit(f: RationalSeries, space: FormSpace):
     bound = min([f.order] + [b.order for b in space.basis])
     if bound <= max((b.valuation() for b in space.basis), default=Fraction(0)):
         raise TruncationError("truncation order too small to attempt a fit")
-    exps = sorted(
-        {e for s in (f, *space.basis) for e in s.support() if e < bound}
-    )
-    columns = [[b.coeff(e) for e in exps] for b in space.basis]
-    target = [f.coeff(e) for e in exps]
+    *columns, target = coeff_vectors((*space.basis, f), bound)[2]
     return _linalg.solve_in_span(columns, target)

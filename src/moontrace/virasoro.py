@@ -19,6 +19,7 @@ from functools import cache
 from types import MappingProxyType
 
 from . import modular
+from ._linalg import solve_in_span
 from .qseries import RationalSeries, RouteDisagreement, TruncationError
 
 __all__ = [
@@ -314,11 +315,7 @@ def partial_ideal_member(
     if not columns:
         return [] if f.is_zero() else None
     bound = min([f.order] + [col.order for col in columns])
-    exps = sorted({e for s in (f, *columns) for e in s.support() if e < bound})
-    mat = [[col.coeff(e) for e in exps] for col in columns]
-    target = [f.coeff(e) for e in exps]
-    from ._linalg import solve_in_span
-
+    *mat, target = modular.coeff_vectors((*columns, f), bound)[2]
     sol = solve_in_span(mat, target)
     if sol is None:
         return None

@@ -6,14 +6,27 @@ Kronecker substitution and Newton iteration.  `eta_product` and
 `theta_product` build eta and the theta constants from their infinite
 products; the library sums them instead.  `eisenstein` finds each
 sigma_{k-1}(n) by trial division and B_k by the binomial recurrence; the
-library cuts E_k from a divisor-sieve table and inverts (e^t - 1)/t.  Only
-the series' public attributes and accessors are used, so the oracle shares no
-code path with the kernel it checks.
+library cuts E_k from a divisor-sieve table and inverts (e^t - 1)/t.
+`space_basis` builds and certifies each form space at the requested order,
+reading coefficients with `coeff` and eliminating over Fraction
+(`reference_linalg`); the library cuts it from a table and certifies it from
+the table's pivot exponents.  Only the series' public attributes and
+accessors are used, so the oracle shares no code path with the kernel it
+checks.  `same` is the strict comparison: `==` on series cuts both sides at
+the smaller order, so it cannot see a result that lost certified order.
 """
 from fractions import Fraction
 from math import comb, factorial, lcm
 
+import reference_linalg as linalg
+
+from moontrace.modular import FormSpace, delta, eisenstein
 from moontrace.qseries import MarkerPoly, RationalSeries, TruncationError
+
+
+def same(a, b):
+    """Equal lattice, terms and truncation order, not just equal where both are known."""
+    return (a.denom, a.terms, a.order) == (b.denom, b.terms, b.order)
 
 
 def mul(a, b):
@@ -125,3 +138,82 @@ def eisenstein(k, order):
         terms[n] = lead * sum(d ** (k - 1) for d in range(1, n + 1) if n % d == 0)
         n += 1
     return RationalSeries.from_terms(terms, order)
+
+
+def _coeff_rows(series_list, bound):
+    """Coefficient matrix over the union of supports below `bound`."""
+    exps = sorted({e for s in series_list for e in s.support() if e < bound})
+    return [[s.coeff(e) for s in series_list] for e in exps], exps
+
+
+def _certify_independent(basis, order, what):
+    if not basis:
+        return
+    bound = min(b.order for b in basis)
+    rows, _ = _coeff_rows(basis, bound)
+    if linalg.rank(rows) != len(basis):
+        raise ValueError(f"order {order} too small to certify independence of {what}")
+
+
+def space_basis(kind, weight, order):
+    """M_k, S_k or F_k built from E_4^a E_6^b at `order` and certified there."""
+    if kind not in ("M", "S", "F"):
+        raise ValueError("space kind must be 'M', 'S', or 'F'")
+    if weight % 2 or (weight < 0 and kind != "F"):
+        raise ValueError("weight must be a nonnegative even integer")
+    order = Fraction(order)
+
+    if kind == "M":
+        if weight == 0:
+            basis = (RationalSeries.one(order),)
+            labels = ("1",)
+        else:
+            e4 = eisenstein(4, order)
+            e6 = eisenstein(6, order)
+            basis_list, labels_list = [], []
+            for b in range(weight // 6 + 1):
+                rem = weight - 6 * b
+                if rem % 4:
+                    continue
+                a = rem // 4
+                basis_list.append(e4.pow_int(a) * e6.pow_int(b))
+                labels_list.append(f"E4^{a}*E6^{b}")
+            basis, labels = tuple(basis_list), tuple(labels_list)
+        _certify_independent(basis, order, f"M_{weight}")
+        return FormSpace("M", weight, basis, labels)
+
+    if kind == "S":
+        if weight < 12:
+            return FormSpace("S", weight, (), ())
+        inner = space_basis("M", weight - 12, order)
+        d = delta(order)
+        basis = tuple(d * b for b in inner.basis)
+        labels = tuple(f"Delta*{lab}" for lab in inner.labels)
+        _certify_independent(basis, order, f"S_{weight}")
+        return FormSpace("S", weight, basis, labels)
+
+    # kind == 'F': quotients by Delta with the constant term removed
+    inner = space_basis("M", weight + 12, order + 2)
+    dinv = delta(order + 2).invert()
+    candidates = [b * dinv for b in inner.basis]
+    kernel = linalg.nullspace([[c.coeff(0) for c in candidates]])
+    combos = []
+    for vec in kernel:
+        acc = RationalSeries.zero(order)
+        for x, cand in zip(vec, candidates):
+            if x:
+                acc = acc + cand * x
+        combos.append(acc.truncate(order))
+    if not combos:
+        return FormSpace("F", weight, (), ())
+    bound = min(c.order for c in combos)
+    rows, exps = _coeff_rows(combos, bound)
+    # rows of `mat` are the combos' coefficient vectors
+    mat = [[rows[i][j] for i in range(len(rows))] for j in range(len(combos))]
+    red, pivots = linalg.rref(mat)
+    if len(pivots) < len(kernel):
+        raise ValueError(f"order {order} too small to certify independence of F_{weight}")
+    basis = tuple(RationalSeries.from_terms({e: c for e, c in zip(exps, red[i]) if c}, bound)
+                  for i in range(len(pivots)))
+    labels = tuple(f"F{weight}[{i}]" for i in range(len(pivots)))
+    return FormSpace("F", weight, basis, labels)

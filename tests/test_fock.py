@@ -7,6 +7,7 @@ from math import comb, factorial
 import pytest
 
 import reference_fock
+from reference_series import same
 from moontrace import fock, modular
 from moontrace.qseries import MarkerPoly, MarkerSeries
 
@@ -53,28 +54,24 @@ def test_product_formula_route():
         assert product_formula_trace(L, 4) == fock.closed_trace_A(L, 5), L
 
 
-def _same(a, b):
-    return (a.denom, a.terms, a.order) == (b.denom, b.terms, b.order)
-
-
 @pytest.mark.parametrize("units", range(7))
 def test_twisted_tables_match_walk(units):
     walk = reference_fock.twisted_traces(ORACLE_NORMS, units)
     for L in ORACLE_NORMS:
-        assert _same(fock.brute_twisted_trace(L, units), walk[L]), L
+        assert same(fock.brute_twisted_trace(L, units), walk[L]), L
 
 
 @pytest.mark.parametrize("grade", range(4))
 def test_rank_24_tables_match_walk(grade):
     walk = reference_fock.traces_M1(ORACLE_NORMS, grade)
     for L in ORACLE_NORMS:
-        assert _same(fock.brute_trace_M1(L, grade), walk[L]), L
+        assert same(fock.brute_trace_M1(L, grade), walk[L]), L
 
 
 @pytest.mark.parametrize("grade", range(7))
 def test_single_oscillator_table_matches_enumeration(grade):
     for L in ORACLE_NORMS:
-        assert _same(fock.brute_trace_A(L, grade), reference_fock.trace_A(L, grade)), L
+        assert same(fock.brute_trace_A(L, grade), reference_fock.trace_A(L, grade)), L
 
 
 def test_oracle_uses_no_closed_form(monkeypatch):
@@ -184,7 +181,7 @@ def test_untwisted_theta_form_matches_eta_quotient(L):
                 z = fock.z_untwisted(L, order)
         else:
             z = fock.z_untwisted(L, order)
-        assert _same(z, eta_quotient_untwisted(L, order)), (L, order)
+        assert same(z, eta_quotient_untwisted(L, order)), (L, order)
 
 
 def test_z_total_norm_16_vanishes():

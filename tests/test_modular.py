@@ -2,6 +2,7 @@ from fractions import Fraction as F
 
 import pytest
 import reference_series as reference
+from reference_series import same
 
 from moontrace import modular
 from moontrace.qseries import RationalSeries, TruncationError
@@ -31,21 +32,17 @@ def test_eisenstein_normalization():
 TABLE_ORDERS = (F(1, 3), 1, 15, 16, 17, F(31, 2), 63, 64, 65, 129, 200)
 
 
-def _same(a, b):
-    return (a.denom, a.terms, a.order) == (b.denom, b.terms, b.order)
-
-
 @pytest.mark.parametrize("k", range(2, 17, 2))
 def test_eisenstein_table_matches_trial_division(k):
     # cold tables, then tables built after a call at a larger order
     expect = {n: reference.eisenstein(k, n) for n in TABLE_ORDERS}
     modular._eisenstein_table.cache_clear()
     for n in TABLE_ORDERS:
-        assert _same(modular.eisenstein(k, n), expect[n]), n
+        assert same(modular.eisenstein(k, n), expect[n]), n
     modular._eisenstein_table.cache_clear()
     modular.eisenstein(k, 400)
     for n in TABLE_ORDERS:
-        assert _same(modular.eisenstein(k, n), expect[n]), n
+        assert same(modular.eisenstein(k, n), expect[n]), n
     # every call gets its own series, never the cached table
     assert modular.eisenstein(k, 20).terms is not modular.eisenstein(k, 20).terms
 
@@ -55,14 +52,14 @@ def test_delta_and_j_tables_match_reference_routes():
     # (the slow reference inverse keeps j to orders <= 65)
     d = reference.pow_int(reference.eta_product(200), 24)
     for n in TABLE_ORDERS:
-        assert _same(modular.delta(n), d.truncate(n)), n
+        assert same(modular.delta(n), d.truncate(n)), n
     head = 67
     d_inv = reference.invert(reference.pow_int(reference.eta_product(head), 24))
     raw = reference.mul(reference.pow_int(reference.eisenstein(4, head), 3), d_inv)
     raw = raw * (1 / raw.coeff(-1))
     j = raw - raw.coeff(0)
     for n in TABLE_ORDERS[:9]:
-        assert _same(modular.jfunction(n), j.truncate(n)), n
+        assert same(modular.jfunction(n), j.truncate(n)), n
 
 
 def test_table_edges():
@@ -73,13 +70,18 @@ def test_table_edges():
             modular.delta(order)
         with pytest.raises(TruncationError):
             modular.jfunction(order)
-    assert _same(modular.eisenstein(4, 60), modular.eisenstein(4, F(60)))
+    assert same(modular.eisenstein(4, 60), modular.eisenstein(4, F(60)))
     # tables are keyed by power-of-two order, so 200 orders build five
     modular._eisenstein_table.cache_clear()
     for n in range(1, 201):
         modular.eisenstein(4, n)
     info = modular._eisenstein_table.cache_info()
     assert info.currsize <= 5 and info.hits >= 195
+
+
+def test_delta_inverse_recurrence_matches_newton():
+    for top in (16, 32, 64, 128):
+        assert same(modular._delta_inverse(top), modular.delta(top + 2).invert()), top
 
 
 def test_eta_pentagonal():
@@ -199,7 +201,7 @@ def test_short_f_basis_refused(weight, order):
 def test_space_labels_and_json():
     s12 = modular.space_basis("S", 12, 8)
     assert s12.labels == ("Delta*1",)
-    assert s12.basis[0] == modular.delta(8)
+    assert same(s12.basis[0], modular.delta(8))
     obj = s12.to_json_obj()
     assert obj["kind"] == "S" and obj["weight"] == 12
     assert len(obj["basis"]) == 1 and obj["labels"] == ["Delta*1"]
@@ -238,4 +240,55 @@ def test_fit_two_dim_space():
     recon = RationalSeries.zero(10)
     for c, b in zip(coeffs, m12.basis):
         recon = recon + b * c
-    assert recon == modular.delta(10)
+    assert same(recon, modular.delta(10))
+
+
+# Every weight at the orders where spaces are refused or barely certified, and
+# a spread of weights up to table order 256: the reference rebuilds every order.
+SPACE_GRID = [
+    ((F(1, 2), 1, 2, 3, F(7, 2)), tuple(range(-12, 62, 2))),
+    ((15, 16, 17, 33), (-12, -10, 2, 12, 14, 60)),
+    ((63, 64, 65, 129, 200), (-10, 2, 12)),
+]
+
+
+def _space_or_refusal(build, kind, weight, order):
+    try:
+        return build(kind, weight, order)
+    except ValueError as exc:  # TruncationError included
+        return type(exc), str(exc)
+
+
+def _same_space(a, b):
+    if not isinstance(a, modular.FormSpace) or not isinstance(b, modular.FormSpace):
+        return a == b
+    return ((a.kind, a.weight, a.labels, a.dim) == (b.kind, b.weight, b.labels, b.dim)
+            and all(map(same, a.basis, b.basis)))
+
+
+@pytest.mark.parametrize("orders, weights", SPACE_GRID)
+@pytest.mark.parametrize("kind", "MSF")
+def test_space_tables_match_direct_construction(kind, orders, weights):
+    expect = {(w, n): _space_or_refusal(reference.space_basis, kind, w, n)
+              for w in weights for n in orders}
+    # cold tables by ascending order, then every order again after the calls
+    # at higher orders, from the tables those left behind
+    modular._space_table.cache_clear()
+    for descending in (False, True):
+        for (w, n), want in sorted(expect.items(), key=lambda item: item[0][1], reverse=descending):
+            got = _space_or_refusal(modular.space_basis, kind, w, n)
+            assert _same_space(got, want), (kind, w, n, descending)
+
+
+def test_space_tables_per_power_of_two():
+    # orders 1..200 build one table per power-of-two order; S adds the M
+    # tables it multiplies by Delta
+    for kind, weight, bound in (("M", 12, 5), ("S", 24, 10), ("F", 0, 5)):
+        modular._space_table.cache_clear()
+        for n in range(1, 201):
+            _space_or_refusal(modular.space_basis, kind, weight, n)
+        info = modular._space_table.cache_info()
+        assert info.currsize <= bound and info.hits >= 195, kind
+    # a cut is a copy: the table's series never leave the module
+    a, b = (modular.space_basis("M", 12, 20).basis[0] for _ in range(2))
+    assert a.terms is not b.terms

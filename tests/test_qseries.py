@@ -3,6 +3,7 @@ from fractions import Fraction as F
 
 import pytest
 import reference_series as reference
+from reference_series import same
 
 from moontrace import modular
 from moontrace.qseries import MarkerPoly, MarkerSeries, RationalSeries, TruncationError
@@ -295,10 +296,6 @@ def rand_kernel_series(rng, cls, lo=-3, hi=6, max_terms=8, const_lead=False):
         lead = s.valuation()
         s = s - cls.monomial(s.coeff(lead), lead, order) + cls.monomial(rand_coeff(rng) or 1, lead, order)
     return s
-
-
-def same(a, b):
-    return (a.denom, a.terms, a.order) == (b.denom, b.terms, b.order)
 
 
 @pytest.mark.parametrize("cls", [RationalSeries, MarkerSeries])
