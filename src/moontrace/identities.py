@@ -101,8 +101,12 @@ def _vacuum_traces(order, kmax):
             f"leading {lead}*q^-1, constant 0: {const_ok}, "
             f"fits F_{2 * k}: {coeffs is not None}"
         )
+        # the ring route fits F_2k by construction: the word recursion is the second route
+        seed = virasoro.HWSeed(0, modular.jfunction(order), vacuum=True)
+        word = virasoro.descendant_zpoint((-2,) * k, seed, order)
+        same = (z.denom, z.terms, z.order) == (word.denom, word.terms, word.order)
         certified = min(certified, z.order)
-        ok = ok and sign_ok and const_ok and coeffs is not None
+        ok = ok and sign_ok and const_ok and coeffs is not None and same
     return ok, certified, routes
 
 

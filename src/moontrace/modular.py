@@ -43,9 +43,9 @@ __all__ = [
 ]
 
 def _table_order(order) -> int:
-    """Smallest power of two (at least 16) above ceil(order): a table at it
+    """Smallest power of two (at least 16) not below ceil(order): a table at it
     covers every index below `order`, and one is built only as order doubles."""
-    return max(16, 1 << max(0, ceil(order)).bit_length())
+    return max(16, 1 << max(0, ceil(order) - 1).bit_length())
 
 
 @cache

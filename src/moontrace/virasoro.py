@@ -18,7 +18,7 @@ from fractions import Fraction
 from functools import cache
 from types import MappingProxyType
 
-from . import modular
+from . import modular, ring
 from ._linalg import solve_in_span
 from .qseries import RationalSeries, RouteDisagreement, TruncationError
 
@@ -265,27 +265,39 @@ def descendant_zpoint(word, seed: HWSeed, order) -> RationalSeries:
     return result.truncate(order)
 
 
+@cache
+def _vacuum_numerator(k: int) -> MappingProxyType:
+    """P_k in Q[e_4, e_6] with vacuum_zpoint(k) = P_k/Delta.
+
+    P_0 = E_4^3 - 744 Delta gives j.  D Delta = 0, so the Serre derivative of
+    P/Delta is D(P)/Delta, and P_r = D P_{r-1} + sum_l n_l(r) e_2l P_{r-l}.
+    """
+    if k == 0:
+        return MappingProxyType(ring.add({(3, 0): Fraction(720**3)}, ring.scale(ring.delta(), -744)))
+    out = ring.serre(_vacuum_numerator(k - 1))
+    for l in range(2, k + 1):
+        nl = compute_nl(k, l)
+        if nl:
+            out = ring.add(out, ring.scale(ring.mul(ring.eisenstein(2 * l), _vacuum_numerator(k - l)), nl))
+    return MappingProxyType(out)
+
+
 def vacuum_zpoint(k: int, order) -> RationalSeries:
     """1-point series of L[-2]^k applied to the vacuum.
 
     Runs the same recursion specialized along L[-2]-powers, with the
-    off-diagonal lifts collapsed to the scalars from compute_nl.  Must agree
+    off-diagonal lifts collapsed to the scalars from compute_nl, on exact
+    numerators in Q[e_4, e_6] (`ring`): Serre derivatives and Eisenstein
+    products close on that ring, so no step truncates and no order is lost,
+    and the numerator is expanded over Delta once, at `order`.  Must agree
     with descendant_zpoint on the word (-2,)*k.
     """
     if k < 0:
         raise ValueError("k must be nonnegative")
     order = Fraction(order)
-    e_order = order + 2
-    z = [modular.jfunction(order + 1)]
-    etable = {l: modular.eisenstein(2 * l, e_order) for l in range(2, k + 2)}
-    for r in range(1, k + 1):
-        cur = modular.serre_derive(z[r - 1], 2 * (r - 1))
-        for l in range(2, r + 1):
-            nl = compute_nl(r, l)
-            if nl:
-                cur = cur + etable[l] * z[r - l] * nl
-        z.append(cur)
-    return z[k].truncate(order)
+    if order <= -1:
+        raise TruncationError("jfunction needs a positive truncation order")
+    return ring.expand(_vacuum_numerator(k), order)
 
 
 def partial_ideal_member(

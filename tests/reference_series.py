@@ -10,7 +10,10 @@ library cuts E_k from a divisor-sieve table and inverts (e^t - 1)/t.
 `space_basis` builds and certifies each form space at the requested order,
 reading coefficients with `coeff` and eliminating over Fraction
 (`reference_linalg`); the library cuts it from a table and certifies it from
-the table's pivot exponents.  Only the series' public attributes and
+the table's pivot exponents.  `vacuum_zpoints` runs the vacuum trace
+recursion on truncated q-series; the library runs it on exact numerators in
+Q[e_4, e_6] and expands once.  Apart from that recursion, which checks the
+ring route and not the kernel, only the series' public attributes and
 accessors are used, so the oracle shares no code path with the kernel it
 checks.  `same` is the strict comparison: `==` on series cuts both sides at
 the smaller order, so it cannot see a result that lost certified order.
@@ -20,8 +23,10 @@ from math import comb, factorial, lcm
 
 import reference_linalg as linalg
 
+from moontrace import modular
 from moontrace.modular import FormSpace, delta, eisenstein
 from moontrace.qseries import MarkerPoly, RationalSeries, TruncationError
+from moontrace.virasoro import compute_nl
 
 
 def same(a, b):
@@ -217,3 +222,20 @@ def space_basis(kind, weight, order):
                   for i in range(len(pivots)))
     labels = tuple(f"F{weight}[{i}]" for i in range(len(pivots)))
     return FormSpace("F", weight, basis, labels)
+
+
+def vacuum_zpoints(kmax, order):
+    """The traces of L[-2]^k on the vacuum for k = 0..kmax, by the recursion on
+    q-series: z_0 = j, z_r = D z_{r-1} + sum_l n_l(r) e_2l z_{r-l}, each step a
+    Serre derivative or a truncated product, cut at `order` at the end."""
+    order = Fraction(order)
+    z = [modular.jfunction(order + 1)]
+    etable = {l: modular.eisenstein(2 * l, order + 2) for l in range(2, kmax + 2)}
+    for r in range(1, kmax + 1):
+        cur = modular.serre_derive(z[r - 1], 2 * (r - 1))
+        for l in range(2, r + 1):
+            nl = compute_nl(r, l)
+            if nl:
+                cur = cur + etable[l] * z[r - l] * nl
+        z.append(cur)
+    return [x.truncate(order) for x in z]

@@ -92,10 +92,11 @@ def vacuum_seed(order):
 
 
 def test_vacuum_matches_descendant():
-    for k in range(4):
-        direct = vacuum_zpoint(k, 4)
-        via_word = descendant_zpoint((-2,) * k, vacuum_seed(8), 4)
-        assert direct == via_word, k
+    for order in (4, 20):
+        for k in range(9):
+            direct = vacuum_zpoint(k, order)
+            via_word = descendant_zpoint((-2,) * k, vacuum_seed(order + 4), order)
+            assert same(direct, via_word), (k, order)
 
 
 def test_vacuum_k2_frozen():
