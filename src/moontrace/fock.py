@@ -1,23 +1,28 @@
 """Free-boson (Fock space) traces, closed form and brute force.
 
-The closed forms track a marker x grading states by particle count:
+The closed forms track a marker x grading states by particle count.  Each is
+one exponential, `_marker_trace(L, order, rank, half)`, over the oscillator
+modes m (the positive integers, or with `half` the half-odd integers):
 
-    trace over one oscillator line with the vertex-operator zero mode:
-        exp( sum_{n>0} -L x q^n / (n (1 - x q^n)) ) / prod (1 - x q^n)
-    rank-24 version: same exponential over prod (1 - x q^n)^{24}
-    half-integer (twisted) version g(q, x): overall q^{3/2} shift,
-        exponent sum over n + 1/2, and prod (1 - x q^{n-1/2})^{-24}.
+    exp( sum_{m, i >= 1} (rank/i - L/m) x^i q^{m i} )
+        = exp( sum_m -L x q^m / (m (1 - x q^m)) ) / prod_m (1 - x q^m)^rank
+
+The -L/m part is the vertex-operator zero mode's insertion, the rank/i part
+the log of the free-oscillator product.  `closed_trace_A` is rank 1,
+`closed_trace_M1` rank 24, and the twisted g(q, x) rank 24 over half-odd
+modes with an overall q^{3/2} shift.
 
 The brute-force oracle never touches those formulas: it enumerates Fock basis
 states and computes each diagonal matrix entry of the degree-zero component of
 E^-(mu, z) E^+(mu, z) by applying the truncated exponentials as actual
 operators with [lam(s), lam(t)] = s L delta_{s+t,0}.  Both mu = +lam and
-mu = -lam are computed and must agree.  The states are enumerated once per
-oscillator and tabulated by (grade units, particle count): oscillator 0,
-which carries the insertion, sums its diagonal entries per cell, and each of
-the other 23 counts its states per cell.  The rank-24 trace is the first
-table convolved with the 23rd convolution power of the second, which is the
-state-by-state sum grouped by cell, with no product formula involved.
+mu = -lam are computed and must agree.  One kernel, `_colored_trace(L, units,
+rank, half)`, enumerates the states of one oscillator and tabulates them by
+(grade units, particle count): oscillator 0, which carries the insertion,
+sums its diagonal entries per cell, and each of the other rank - 1 counts its
+states per cell.  The trace is the first table convolved with the
+(rank - 1)st convolution power of the second, which is the state-by-state sum
+grouped by cell, with no product formula involved.
 
 Sector assembly (norm L = <lam, lam>):
 
@@ -73,69 +78,37 @@ def _warn_unrealizable(L: int):
 
 # --- closed forms -----------------------------------------------------------
 
-def _exp_argument(L: int, order: Fraction, half_shift: bool) -> MarkerSeries:
-    """sum over oscillator modes of -L x^i q^{mode*i} / (mode * i-th power)."""
+def _marker_trace(L: int, order: Fraction, rank: int, half: bool) -> MarkerSeries:
+    """exp of sum_{m, i >= 1} (rank/i - L/m) x^i q^{m i}, m over the modes below order."""
     terms: dict = {}
-    num = 1
-    while True:
-        mode = Fraction(2 * num - 1, 2) if half_shift else Fraction(num)
-        if mode >= order:
-            break
+    m = Fraction(1, 2) if half else 1
+    while m < order:
         i = 1
-        while mode * i < order:
-            e = mode * i
-            poly = MarkerPoly.x_power(i, -Fraction(L) / mode)
-            terms[e] = terms.get(e, MarkerPoly(())) + poly
+        while m * i < order:
+            poly = MarkerPoly.x_power(i, Fraction(rank, i) - Fraction(L) / m)
+            terms[m * i] = terms.get(m * i, MarkerPoly(())) + poly
             i += 1
-        num += 1
-    return MarkerSeries.from_terms(terms.items(), order)
-
-
-def _geometric(mode: Fraction, order: Fraction) -> MarkerSeries:
-    """1 / (1 - x q^mode) as an explicit geometric sum."""
-    terms = {}
-    i = 0
-    while mode * i < order:
-        terms[mode * i] = MarkerPoly.x_power(i)
-        i += 1
-    return MarkerSeries.from_terms(terms.items(), order)
+        m += 1
+    return MarkerSeries.from_terms(terms.items(), order).exp_series()
 
 
 def closed_trace_A(L: int, order) -> MarkerSeries:
     """Single-oscillator trace with the zero-mode insertion; marker x counts particles."""
     _check_norm(L)
-    order = Fraction(order)
-    acc = _exp_argument(L, order, half_shift=False).exp_series()
-    n = 1
-    while n < order:
-        acc = acc * _geometric(Fraction(n), order)
-        n += 1
-    return acc
+    return _marker_trace(L, Fraction(order), 1, False)
 
 
 def closed_trace_M1(L: int, order) -> MarkerSeries:
     """Rank-24 trace: the same exponential over prod (1 - x q^n)^{24}."""
     _check_norm(L)
-    order = Fraction(order)
-    acc = _exp_argument(L, order, half_shift=False).exp_series()
-    n = 1
-    while n < order:
-        acc = acc * _geometric(Fraction(n), order).pow_int(RANK)
-        n += 1
-    return acc
+    return _marker_trace(L, Fraction(order), RANK, False)
 
 
 def twisted_closed_trace(L: int, order) -> MarkerSeries:
     """Half-integer-mode trace g(q, x), including the overall q^{3/2} shift."""
     _check_norm(L)
-    order = Fraction(order)
-    inner = order - Fraction(3, 2)
-    acc = _exp_argument(L, inner, half_shift=True).exp_series()
-    n = 1
-    while Fraction(2 * n - 1, 2) < inner:
-        acc = acc * _geometric(Fraction(2 * n - 1, 2), inner).pow_int(RANK)
-        n += 1
-    return acc._shift(Fraction(3, 2))
+    inner = Fraction(order) - Fraction(3, 2)
+    return _marker_trace(L, inner, RANK, True)._shift(Fraction(3, 2))
 
 
 # --- brute-force oracle -----------------------------------------------------
@@ -213,26 +186,6 @@ def _diag(state, L: int) -> Fraction:
     return plus
 
 
-def _state_tables(L: int, units: int, unit_values, mode_of_unit):
-    """Single-oscillator basis states tabulated by (grade units, particle count).
-
-    Returns `(diag0, free)`, both (units+1) x (units+1): `diag0[s][c]` sums
-    `_diag` over the states of `s` units and `c` particles (the oscillator
-    carrying the insertion), `free[s][c]` counts those states (an oscillator
-    without it).  `unit_values` lists the unit sizes single modes may take and
-    `mode_of_unit(u)` maps a unit count to the mode it carries.
-    """
-    size = max(units + 1, 0)
-    parts = [u for u in range(units, 0, -1) if u in unit_values]
-    diag0 = [[Fraction(0)] * size for _ in range(size)]
-    free = [[0] * size for _ in range(size)]
-    for s in range(size):
-        for p in _partitions(s, parts):
-            diag0[s][len(p)] += _diag(tuple(mode_of_unit(u) for u in p), L)
-            free[s][len(p)] += 1
-    return diag0, free
-
-
 def _convolve(a, b):
     """2-D convolution of (units, count) tables, cut above the tables' size."""
     size = len(a)
@@ -249,54 +202,47 @@ def _convolve(a, b):
     return out
 
 
-def _table_series(table, mode_of_unit, order) -> MarkerSeries:
-    """Row s of the table is the marker polynomial at q^mode_of_unit(s)."""
-    terms = {mode_of_unit(s): MarkerPoly(row) for s, row in enumerate(table)}
-    return MarkerSeries.from_terms(terms.items(), order)
+def _colored_trace(L: int, units: int, rank: int, half: bool) -> MarkerSeries:
+    """Rank-`rank` trace by state enumeration; the insertion acts on oscillator 0 only.
 
-
-def brute_trace_A(L: int, max_grade: int) -> MarkerSeries:
-    """Single-oscillator trace by state enumeration, known through q^max_grade.
-
-    This is the `diag0` table of the rank-24 oracle on its own.
+    Grades count in units of 1, or of 1/2 with `half` (then a single mode is
+    an odd number of units); `units` bounds the total grade.  `diag0[s][c]`
+    sums `_diag` over one oscillator's states of s units and c particles, and
+    `free[s][c]` counts them.  The trace is `diag0` convolved with `rank - 1`
+    copies of `free`, cut above `units`, by binary powering.  No closed form
+    -- 1/(1 - x q^n), `exp_series` -- is used.
     """
-    _check_norm(L)
-    diag0, _ = _state_tables(L, max_grade, range(1, max_grade + 1), int)
-    return _table_series(diag0, int, max_grade + 1)
-
-
-def _colored_trace(L: int, units: int, unit_values, mode_of_unit, order) -> MarkerSeries:
-    """Full 24-oscillator enumeration; the insertion acts on oscillator 0 only.
-
-    `units` bounds the total grade in integer units, `unit_values` lists the
-    unit sizes single oscillator modes may take, and `mode_of_unit(s)` maps a
-    unit count to the q-exponent it carries.
-
-    A rank-24 basis state is one single-oscillator state per colour, and its
-    diagonal entry is oscillator 0's entry (colours 1-23 carry no insertion).
-    Grouping each colour's states by (units, particle count), the trace is
-    oscillator 0's `diag0` table convolved with 23 copies of the free colour's
-    state-count table, cut above `units`; binary powering builds the 23 copies
-    in a handful of convolutions.  Every entry is a sum over enumerated basis
-    states, every diagonal entry comes from `_diag`'s operator algebra (both
-    signs), and no closed form -- 1/(1 - x q^n), `exp_series` -- is used.
-    """
-    diag0, free = _state_tables(L, units, unit_values, mode_of_unit)
-    acc, n = diag0, RANK - 1
+    # integer modes stay ints: Fraction modes slow every `_diag` call
+    unit = Fraction(1, 2) if half else 1
+    size = max(units + 1, 0)
+    parts = [u for u in range(units, 0, -1) if u % 2 or not half]
+    diag0 = [[Fraction(0)] * size for _ in range(size)]
+    free = [[0] * size for _ in range(size)]
+    for s in range(size):
+        for p in _partitions(s, parts):
+            diag0[s][len(p)] += _diag(tuple(u * unit for u in p), L)
+            free[s][len(p)] += 1
+    acc, n = diag0, rank - 1
     while n:
         if n & 1:
             acc = _convolve(acc, free)
         n >>= 1
         if n:
             free = _convolve(free, free)
-    return _table_series(acc, mode_of_unit, order)
+    terms = {s * unit: MarkerPoly(row) for s, row in enumerate(acc)}
+    return MarkerSeries.from_terms(terms.items(), (units + 1) * unit)
+
+
+def brute_trace_A(L: int, max_grade: int) -> MarkerSeries:
+    """Single-oscillator trace by state enumeration, known through q^max_grade."""
+    _check_norm(L)
+    return _colored_trace(L, max_grade, 1, False)
 
 
 def brute_trace_M1(L: int, max_grade: int) -> MarkerSeries:
     """Rank-24 trace by full state enumeration through q^max_grade."""
     _check_norm(L)
-    values = set(range(1, max_grade + 1))
-    return _colored_trace(L, max_grade, values, int, max_grade + 1)
+    return _colored_trace(L, max_grade, RANK, False)
 
 
 def brute_twisted_trace(L: int, max_units: int) -> MarkerSeries:
@@ -306,11 +252,7 @@ def brute_twisted_trace(L: int, max_units: int) -> MarkerSeries:
     oscillator modes themselves are the half-odd-integers u/2 for odd u.
     """
     _check_norm(L)
-    values = {u for u in range(1, max_units + 1) if u % 2}
-    raw = _colored_trace(
-        L, max_units, values, lambda u: Fraction(u, 2), Fraction(max_units + 1, 2)
-    )
-    return raw._shift(Fraction(3, 2))
+    return _colored_trace(L, max_units, RANK, True)._shift(Fraction(3, 2))
 
 
 # --- sector assembly --------------------------------------------------------

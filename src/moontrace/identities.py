@@ -90,6 +90,7 @@ def _vacuum_traces(order, kmax):
     ok = True
     certified = order
     routes = {}
+    traces = []
     for k in range(kmax + 1):
         z = virasoro.vacuum_zpoint(k, order)
         lead = z.coeff(Fraction(-1))
@@ -101,12 +102,15 @@ def _vacuum_traces(order, kmax):
             f"leading {lead}*q^-1, constant 0: {const_ok}, "
             f"fits F_{2 * k}: {coeffs is not None}"
         )
-        # the ring route fits F_2k by construction: the word recursion is the second route
-        seed = virasoro.HWSeed(0, modular.jfunction(order), vacuum=True)
-        word = virasoro.descendant_zpoint((-2,) * k, seed, order)
-        same = (z.denom, z.terms, z.order) == (word.denom, word.terms, word.order)
+        traces.append(z)
         certified = min(certified, z.order)
-        ok = ok and sign_ok and const_ok and coeffs is not None and same
+        ok = ok and sign_ok and const_ok and coeffs is not None
+    # the ring route fits F_2k by construction: the word recursion is the second
+    # route, one pass over all k after every check above (which raise first)
+    seed = virasoro.HWSeed(0, modular.jfunction(order), vacuum=True)
+    words = virasoro.descendant_zpoints([(-2,) * k for k in range(kmax + 1)], seed, order)
+    for z, word in zip(traces, words):
+        ok = ok and (z.denom, z.terms, z.order) == (word.denom, word.terms, word.order)
     return ok, certified, routes
 
 
@@ -122,12 +126,13 @@ def _ideal(order, L):
         raise ValueError("the seed weight L/2 must be even")
     seed_series = fock.z_total(L, order + 2)
     seed = virasoro.HWSeed(weight=weight, series=seed_series)
+    words = _canonical_words(6)
+    traces = virasoro.descendant_zpoints(words, seed, order)
     ok = True
     certified = order
     routes = {}
-    for word in _canonical_words(6):
+    for word, z in zip(words, traces):
         added = -sum(word)
-        z = virasoro.descendant_zpoint(word, seed, order)
         decomposition = virasoro.partial_ideal_member(
             z, seed_series.truncate(order), weight, weight + added, order
         )

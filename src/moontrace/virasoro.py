@@ -31,6 +31,7 @@ __all__ = [
     "compute_nl",
     "reduce_word",
     "descendant_zpoint",
+    "descendant_zpoints",
     "vacuum_zpoint",
     "partial_ideal_member",
 ]
@@ -205,8 +206,17 @@ def descendant_zpoint(word, seed: HWSeed, order) -> RationalSeries:
     The word may contain any nonpositive modes.  The seed series must be known
     to at least the requested order.
     """
-    word = tuple(word)
-    if any(n > 0 for n in word):
+    return descendant_zpoints([word], seed, order)[0]
+
+
+def descendant_zpoints(words, seed: HWSeed, order) -> list:
+    """`descendant_zpoint` of each word, in order, from one shared recursion.
+
+    Words share their sub-words' series (one cache for all of them), and the
+    Eisenstein table is sized to the heaviest word.
+    """
+    words = [tuple(word) for word in words]
+    if any(n > 0 for word in words for n in word):
         raise ValueError("descendant words use nonpositive modes")
     order = Fraction(order)
     if seed.series.order < order:
@@ -214,7 +224,7 @@ def descendant_zpoint(word, seed: HWSeed, order) -> RationalSeries:
             f"seed series order {seed.series.order} is below the requested {order}"
         )
     hw = seed.context()
-    total_weight = -sum(word)
+    total_weight = max((-sum(word) for word in words), default=0)
     e_order = max(seed.series.order, order) + 2
     etable = {l: modular.eisenstein(2 * l, e_order) for l in range(2, total_weight // 2 + 3)}
     zero = RationalSeries.zero(seed.series.order)
@@ -257,12 +267,15 @@ def descendant_zpoint(word, seed: HWSeed, order) -> RationalSeries:
             acc = acc + z_word(w) * c
         return acc
 
-    result = z_combo_of(word)
-    if result.order < order:
-        raise TruncationError(
-            f"attainable order {result.order} fell below the requested {order}"
-        )
-    return result.truncate(order)
+    out = []
+    for word in words:
+        result = z_combo_of(word)
+        if result.order < order:
+            raise TruncationError(
+                f"attainable order {result.order} fell below the requested {order}"
+            )
+        out.append(result.truncate(order))
+    return out
 
 
 @cache

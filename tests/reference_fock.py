@@ -11,8 +11,13 @@ single-oscillator diagonal entries state by state.  Both take their diagonal
 entries from `fock._diag` and their states from `fock._partitions`: what
 they check is how the library combines those entries, not the operator
 algebra itself.
+
+`closed_trace` is the product construction the closed forms used before
+they became one exponential: the exponential of the zero mode's argument
+times one factor (1 - x q^m)^{-rank} per oscillator mode m.
 """
 from fractions import Fraction
+from math import comb
 
 from moontrace.fock import RANK, _diag, _partitions
 from moontrace.qseries import MarkerPoly, MarkerSeries
@@ -86,3 +91,35 @@ def twisted_traces(norms, max_units: int) -> dict:
         norms, max_units, values, lambda u: Fraction(u, 2), Fraction(max_units + 1, 2)
     )
     return {L: g._shift(Fraction(3, 2)) for L, g in raw.items()}
+
+
+def closed_trace(L: int, order, rank: int, half: bool) -> MarkerSeries:
+    """exp(sum_{m, i} -L x^i q^{m i} / m) * prod_m (1 - x q^m)^{-rank}, m the modes below order.
+
+    The modes are the positive integers, or with `half` the half-odd integers,
+    and then the result carries the q^{3/2} shift and `order` is read as in
+    `fock.twisted_closed_trace`.
+    """
+    shift = Fraction(3, 2) if half else 0
+    inner = Fraction(order) - shift
+    modes = []
+    m = Fraction(1, 2) if half else Fraction(1)
+    while m < inner:
+        modes.append(m)
+        m += 1
+    argument: dict = {}
+    for m in modes:
+        i = 1
+        while m * i < inner:
+            argument[m * i] = argument.get(m * i, MarkerPoly(())) + MarkerPoly.x_power(i, -L / m)
+            i += 1
+    acc = MarkerSeries.from_terms(argument.items(), inner).exp_series()
+    for m in modes:
+        # (1 - x q^m)^{-rank} = sum_i C(rank + i - 1, i) x^i q^{m i}
+        factor: dict = {}
+        i = 0
+        while m * i < inner:
+            factor[m * i] = MarkerPoly.x_power(i, comb(rank + i - 1, i))
+            i += 1
+        acc = acc * MarkerSeries.from_terms(factor.items(), inner)
+    return acc._shift(shift)

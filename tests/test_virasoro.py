@@ -14,6 +14,7 @@ from moontrace.virasoro import (
     apply_word,
     compute_nl,
     descendant_zpoint,
+    descendant_zpoints,
     normal_order,
     partial_ideal_member,
     reduce_word,
@@ -129,6 +130,18 @@ def test_deep_words_match_reduced_route():
         for w, c in reduce_word(word).items():
             acc = acc + descendant_zpoint(w, seed, 4) * c
         assert direct == acc, word
+
+
+def test_shared_word_cache_matches_one_word_at_a_time():
+    # one recursion for all words must give each word's own series, and refuse
+    # a positive mode anywhere before any work
+    seed = vacuum_seed(9)
+    words = [(), (-2,), (-3, -3), (-1, -2), (-2, -2, -2), (-4, -2)]
+    shared = descendant_zpoints(words, seed, 5)
+    for word, z in zip(words, shared, strict=True):
+        assert same(z, descendant_zpoint(word, vacuum_seed(9), 5)), word
+    with pytest.raises(ValueError):
+        descendant_zpoints([(-2,), (-2, 1)], seed, 5)
 
 
 def test_leading_minus_one_traceless():
