@@ -121,7 +121,6 @@ def _cmd_lattice_trace(args) -> int:
         "order": str(args.order),
         "series": _series_payload(z, args.format),
     }
-    realizable = L >= 16 and L % 8 == 0
     fits = None
     if weight % 2 == 0:
         space = modular.space_basis("S", weight, args.order)
@@ -133,7 +132,7 @@ def _cmd_lattice_trace(args) -> int:
         }
     payload["fits"] = fits
     _emit(payload, args.format)
-    if realizable and (fits is None or fits["coefficients"] is None):
+    if fock._realizable(L) and (fits is None or fits["coefficients"] is None):
         return 1
     return 0
 

@@ -67,7 +67,7 @@ def _check_norm(L: int):
 
 
 def _warn_unrealizable(L: int):
-    if L < 16 or L % 8:
+    if not _realizable(L):
         warnings.warn(
             f"norm {L} is not of the form 4<a,a> for a norm->=4 even lattice "
             "vector; formula-exploration mode",
@@ -299,10 +299,14 @@ def z_total(L: int, order) -> RationalSeries:
     exploration norms the honest sum is returned, fractional tail included.
     """
     out = z_untwisted(L, order) + z_twisted(L, order)
-    realizable = L >= 16 and L % 8 == 0
-    if realizable and any(e.denominator != 1 for e in out.support()):
+    if _realizable(L) and any(e.denominator != 1 for e in out.support()):
         raise RouteDisagreement("half-integer exponents failed to cancel in z_total")
     return out
+
+
+def _realizable(L: int) -> bool:
+    """Whether L = 4<a,a> for an even lattice vector a of norm >= 4: a multiple of 8, >= 16."""
+    return L >= 16 and L % 8 == 0
 
 
 def z_total_brute(L: int, order) -> RationalSeries:

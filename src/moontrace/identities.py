@@ -110,7 +110,7 @@ def _vacuum_traces(order, kmax):
     seed = virasoro.HWSeed(0, modular.jfunction(order), vacuum=True)
     words = virasoro.descendant_zpoints([(-2,) * k for k in range(kmax + 1)], seed, order)
     for z, word in zip(traces, words):
-        ok = ok and (z.denom, z.terms, z.order) == (word.denom, word.terms, word.order)
+        ok = ok and z == word
     return ok, certified, routes
 
 
@@ -162,14 +162,17 @@ def verify(identity: str, order) -> tuple:
     """Check `identity` ("name" or "name:PARAM") through `order`.
 
     Returns `(ok, certified_order, routes)`.  An unknown name, a parameter
-    the identity does not take or one outside its range raises ValueError
-    before any work starts.
+    the identity does not take or one outside its range, and an order that
+    is not positive raise ValueError before any work starts.
     """
     name, _, suffix = identity.partition(":")
     if name not in IDENTITIES:
         raise ValueError(f"unknown identity {identity!r}")
     check, default, limit = IDENTITIES[name]
     order = Fraction(order)
+    # at order <= 0 some checks compare nothing and would pass vacuously
+    if order <= 0:
+        raise ValueError(f"the order must be positive, got {order}")
     if default is None:
         if suffix:
             raise ValueError(f"identity {name!r} takes no parameter")

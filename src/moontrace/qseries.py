@@ -3,7 +3,10 @@
 Series live on an exponent lattice (1/D)*Z for a positive integer denominator
 D, with Fraction coefficients and an explicit rational truncation order: terms
 with exponent >= order are unknown, not zero.  All operations propagate a sound
-order bound, so a result never claims coefficients it cannot know.
+order bound, so a result never claims coefficients it cannot know.  Equality
+is exact: `a == b` holds when the lattice, the terms and the order all match,
+so a result that lost certified order compares unequal; to compare two series
+at a common order, truncate both to it first.
 
 Two series types share the arithmetic core:
 
@@ -418,16 +421,14 @@ class _SeriesBase:
 
     # comparison -----------------------------------------------------------
     def __eq__(self, other) -> bool:
+        """Exact: same lattice, terms and truncation order.  Series known to
+        different orders differ; to compare at a common order, truncate first.
+        A number compares as the constant series at `self.order`."""
         if isinstance(other, (int, Fraction)):
             other = self.monomial(other, 0, self.order)
         if type(other) is not type(self):
             return NotImplemented
-        bound = min(self.order, other.order)
-        d, ta, tb = self._aligned(other)
-        sb = bound * d
-        ka = {e: c for e, c in ta.items() if e < sb}
-        kb = {e: c for e, c in tb.items() if e < sb}
-        return ka == kb
+        return (self.denom, self.terms, self.order) == (other.denom, other.terms, other.order)
 
     __hash__ = None
 

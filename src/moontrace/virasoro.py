@@ -91,17 +91,6 @@ class VirCombo:
         body = " + ".join(f"{c}*{wname(w)}" for w, c in sorted(self.terms.items()))
         return f"VirCombo({body or '0'})"
 
-    def to_json_obj(self) -> dict:
-        return {
-            "h": str(self.hw.h),
-            "c": str(self.hw.c),
-            "vacuum": self.hw.vacuum,
-            "terms": [
-                {"word": list(w), "coeff": str(c)}
-                for w, c in sorted(self.terms.items())
-            ],
-        }
-
 
 @cache
 def _reduce(word: VirWord, hw: HighestWeight) -> MappingProxyType:

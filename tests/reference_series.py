@@ -15,8 +15,7 @@ recursion on truncated q-series; the library runs it on exact numerators in
 Q[e_4, e_6] and expands once.  Apart from that recursion, which checks the
 ring route and not the kernel, only the series' public attributes and
 accessors are used, so the oracle shares no code path with the kernel it
-checks.  `same` is the strict comparison: `==` on series cuts both sides at
-the smaller order, so it cannot see a result that lost certified order.
+checks.
 """
 from fractions import Fraction
 from math import comb, factorial, lcm
@@ -27,11 +26,6 @@ from moontrace import modular
 from moontrace.modular import FormSpace, delta, eisenstein
 from moontrace.qseries import MarkerPoly, RationalSeries, TruncationError
 from moontrace.virasoro import compute_nl
-
-
-def same(a, b):
-    """Equal lattice, terms and truncation order, not just equal where both are known."""
-    return (a.denom, a.terms, a.order) == (b.denom, b.terms, b.order)
 
 
 def mul(a, b):

@@ -246,6 +246,20 @@ def test_every_identity_certifies_within_the_request(capsys, name, order):
     assert Fraction(payload["certified_order"]) <= Fraction(order)
 
 
+@pytest.mark.parametrize("name", identities.IDENTITIES)
+def test_library_verify_refuses_non_positive_orders(monkeypatch, name):
+    # some checks compare nothing at order <= 0 and would pass vacuously
+    def no_work(*_args):
+        raise AssertionError("work started on a refused order")
+    _, default, limit = identities.IDENTITIES[name]
+    monkeypatch.setitem(identities.IDENTITIES, name, (no_work, default, limit))
+    for order in (Fraction(-3, 2), -1, Fraction(-1, 2), 0):
+        with pytest.raises(ValueError, match=f"^the order must be positive, got {order}$"):
+            identities.verify(name, order)
+    with pytest.raises(AssertionError):
+        identities.verify(name, Fraction(1, 2))
+
+
 @pytest.mark.parametrize("identity, order", [
     ("fock-oracle:16", "1"), ("fock-oracle:16", "3/2"),
     ("twisted-oracle:16", "1"), ("twisted-oracle:16", "2"),
