@@ -36,13 +36,24 @@ Sector assembly (norm L = <lam, lam>):
 Only the theta forms are computed here.  The eta-quotient form follows from
 theta1 = 2 eta(2t)^2 / eta, which `moontrace verify` checks among the theta
 eta-quotients; the tests compare the other forms with the theta forms.
+
+`z_total` takes one of two routes.  For realizable norms (L = 8n >= 16) it is
+a level-one form of weight L/2: in A = theta1^4, B = theta2^4 the sector
+formulas become a polynomial, projected exactly onto Q[e4, e6] once per norm
+(`_z_form`, cached) and cut from the cached monomial table at each call, with
+no theta product.  Exploration norms take the series route, the sum of the
+two sectors above, which the tests also use as the ring route's oracle.
 """
 from __future__ import annotations
 
 import warnings
 from fractions import Fraction
+from functools import cache
+from math import comb
+from types import MappingProxyType
 
-from . import modular
+from . import modular, ring
+from ._linalg import solve_in_span
 from .qseries import MarkerPoly, MarkerSeries, RationalSeries, RouteDisagreement
 
 __all__ = [
@@ -291,17 +302,61 @@ def z_twisted(L: int, order) -> RationalSeries:
     return out
 
 
+# E4 = A^2 + AB + B^2 and 2 E6 = (A + 2B)(2A + B)(B - A) in A = theta1^4,
+# B = theta2^4 (theta(1), theta(2)); E4 and E6 have constant term 1
+_E4_AB = {(2, 0): 1, (1, 1): 1, (0, 2): 1}
+_TWO_E6_AB = {(3, 0): -2, (2, 1): -3, (1, 2): 3, (0, 3): 2}
+
+
+def _sector_form(L: int) -> dict:
+    """16^(m+1) z_total(L) as an integer polynomial {(i, j): c} in A^i B^j.
+
+    A = theta1^4, B = theta2^4 and C = theta3^4 = A + B (Jacobi), with
+    eta^12 = ABC/16 and m = (L - 12)/4; the sector formulas read
+    z_total = ABC (A^m + B^m - C^m) / 16^(m+1), and for odd m
+    A^m + B^m - C^m = -sum_{0<j<m} C(m, j) A^j B^(m-j).
+    """
+    m = (L - 12) // 4
+    ab_tail = {(j + 1, m - j + 1): -comb(m, j) for j in range(1, m)}
+    return ring.mul(ab_tail, {(1, 0): 1, (0, 1): 1})
+
+
+@cache
+def _z_form(L: int) -> MappingProxyType:
+    """z_total(L) for realizable L as an exact element {(a, b): c} of Q[e4, e6].
+
+    One `solve_in_span` projects `_sector_form` onto the monomials
+    E4^a (2 E6)^b (`_E4_AB`, `_TWO_E6_AB`), then rescales once by E4 = 720 e4,
+    2 E6 = -60480 e6 and 16^-(m+1).  No solution means the form is not level
+    one: a broken sector formula.
+    """
+    target, deg = _sector_form(L), L // 4
+    pairs = [((deg - 3 * b) // 2, b) for b in range(0, deg // 3 + 1, 2)]
+    fours, sixes = [{(0, 0): 1}], [{(0, 0): 1}]
+    while len(fours) <= pairs[0][0]:
+        fours.append(ring.mul(fours[-1], _E4_AB))
+    while len(sixes) <= pairs[-1][1]:
+        sixes.append(ring.mul(sixes[-1], _TWO_E6_AB))
+    columns = [[mono.get((i, deg - i), 0) for i in range(deg + 1)]
+               for a, b in pairs for mono in [ring.mul(fours[a], sixes[b])]]
+    x = solve_in_span(columns, [target.get((i, deg - i), 0) for i in range(deg + 1)])
+    if x is None:
+        raise RouteDisagreement(f"the sector form of norm {L} is not a level-one form")
+    scale = Fraction(1, 16 ** ((L - 8) // 4))
+    return MappingProxyType({(a, b): c * 720**a * (-60480)**b * scale
+                             for (a, b), c in zip(pairs, x) if c})
+
+
 def z_total(L: int, order) -> RationalSeries:
     """Full trace series.
 
-    For realizable norms (multiples of 8, at least 16) the half-integer
-    exponents must cancel between the sectors and a leftover raises; for
-    exploration norms the honest sum is returned, fractional tail included.
+    For realizable norms (multiples of 8, at least 16) it is the level-one
+    form `_z_form(L)`, cut from the cached monomial table; for exploration
+    norms the honest sum of the sectors is returned, fractional tail included.
     """
-    out = z_untwisted(L, order) + z_twisted(L, order)
-    if _realizable(L) and any(e.denominator != 1 for e in out.support()):
-        raise RouteDisagreement("half-integer exponents failed to cancel in z_total")
-    return out
+    if _realizable(L):
+        return ring.series(_z_form(L), order)
+    return z_untwisted(L, order) + z_twisted(L, order)
 
 
 def _realizable(L: int) -> bool:

@@ -3,6 +3,11 @@
 Each check takes the requested order (and its parameter, if it has one) and
 returns `(ok, certified_order, routes)`: whether the routes agree, the order
 through which that verdict holds, and the routes themselves by name.
+
+`equivariant-identity-case` sets the lattice route (theta series, eta
+products and theta-constant powers) against `fock.z_total`, which for
+realizable norms is an exact Q[e4, e6] form: the two routes share no theta
+product, so a broken theta constant shows up there.
 """
 from __future__ import annotations
 

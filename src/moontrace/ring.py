@@ -4,8 +4,8 @@ e_k is the library's Eisenstein series (`modular.eisenstein`), -B_k/k! E_k.
 There Ramanujan's equations read D e_4 = 14 e_6 and D e_6 = (60/7) e_4^2 for
 the Serre derivative D, a derivation of the graded ring, and the Weierstrass
 recurrence gives every e_2l with no constant, so Serre derivatives and
-Eisenstein products are exact and need no truncation order; only `expand`
-(p/Delta as a q-series) takes one.  Nothing is built at import.
+Eisenstein products are exact and need no truncation order; only `series`
+(p as a q-series) and `expand` (p/Delta) take one.  Nothing is built at import.
 """
 from __future__ import annotations
 
@@ -66,19 +66,24 @@ def delta() -> dict:
     return {(3, 0): Fraction(720**3, 1728), (0, 2): Fraction(-(30240**2), 1728)}
 
 
-def expand(p, order):
-    """The q-series of p/Delta through `order`, for p homogeneous of weight w.
+def series(p, order):
+    """The q-series of p through `order`, for p homogeneous of weight w.
 
     Sums c_ab e_4^a e_6^b from the cached M_w monomial table (ordered by b, so
-    e_4^a e_6^b sits at b // 2) and multiplies once by 1/Delta.  1/Delta has
-    valuation -1, so the table must reach order + 1.
+    e_4^a e_6^b sits at b // 2), each cut at `order`.
     """
     order = Fraction(order)
-    top = modular._table_order(order + 1)
-    acc = RationalSeries.zero(order + 1)
+    acc = RationalSeries.zero(order)
     if p:
         a, b = next(iter(p))
-        basis = modular._space_table("M", 4 * a + 6 * b, top)[0]
+        basis = modular._space_table("M", 4 * a + 6 * b, modular._table_order(order))[0]
         for (a, b), c in p.items():
-            acc = acc + basis[b // 2].truncate(order + 1) * c
-    return acc * modular._delta_inverse(top).truncate(order + 1)
+            acc = acc + basis[b // 2].truncate(order) * c
+    return acc
+
+
+def expand(p, order):
+    """The q-series of p/Delta through `order`: `series` through order + 1
+    (1/Delta has valuation -1), multiplied once by 1/Delta."""
+    top = Fraction(order) + 1
+    return series(p, top) * modular._delta_inverse(modular._table_order(top)).truncate(top)

@@ -27,9 +27,7 @@ __all__ = [
     "VirCombo",
     "HWSeed",
     "normal_order",
-    "apply_word",
     "compute_nl",
-    "reduce_word",
     "descendant_zpoint",
     "descendant_zpoints",
     "vacuum_zpoint",
@@ -136,16 +134,6 @@ def normal_order(word, hw: HighestWeight) -> VirCombo:
     return VirCombo(hw, _reduce(tuple(word), hw))
 
 
-def apply_word(word, combo: VirCombo) -> VirCombo:
-    """Left-apply a mode word to an already-canonical combination."""
-    word = tuple(word)
-    out: dict = {}
-    for w, c in combo.terms.items():
-        for w2, c2 in _reduce(word + w, combo.hw).items():
-            out[w2] = out.get(w2, Fraction(0)) + c * c2
-    return VirCombo(combo.hw, out)
-
-
 def compute_nl(k: int, l: int) -> Fraction:
     """Scalar n_l with L[2l-2] L[-2]^{k-1} vac = n_l L[-2]^{k-l} vac.
 
@@ -164,29 +152,6 @@ def compute_nl(k: int, l: int) -> Fraction:
     if stray:
         raise RouteDisagreement(f"L[{2*l-2}] on L[-2]^{k-1} is not a multiple of L[-2]^{k-l}")
     return combo.get(expected, Fraction(0))
-
-
-def reduce_word(word) -> dict:
-    """Rewrite a word of negative modes using only L[-1] and L[-2].
-
-    Uses (n-2) L[-n] = [L[-1], L[-n+1]] for n >= 3; returns {word: coeff}.
-    This is an operator identity, independent of any highest-weight context.
-    """
-    word = tuple(word)
-    if any(n >= 0 for n in word):
-        raise ValueError("reduce_word expects strictly negative modes")
-    deep = next((i for i, n in enumerate(word) if n <= -3), None)
-    if deep is None:
-        return {word: Fraction(1)}
-    n = -word[deep]
-    pre, post = word[:deep], word[deep + 1 :]
-    scale = Fraction(1, n - 2)
-    out: dict = {}
-    for w, c in reduce_word(pre + (-1, -(n - 1)) + post).items():
-        out[w] = out.get(w, Fraction(0)) + scale * c
-    for w, c in reduce_word(pre + (-(n - 1), -1) + post).items():
-        out[w] = out.get(w, Fraction(0)) - scale * c
-    return {w: c for w, c in out.items() if c}
 
 
 def descendant_zpoint(word, seed: HWSeed, order) -> RationalSeries:

@@ -219,12 +219,33 @@ def scale_theta(monkeypatch, which):
 
 
 def test_route_disagreement_exits_1(capsys, monkeypatch):
-    # theta2 no longer pairs with theta3, so the twisted sector's half-integer
-    # exponents fail to cancel: a failed identity (exit 1), not an input error
-    scale_theta(monkeypatch, 2)
+    # one coefficient of the sector form off by one leaves M_12, so its exact
+    # projection fails: a failed identity (exit 1), not an input error
+    from moontrace import fock
+    form = fock._sector_form
+
+    def perturbed(L):
+        out = dict(form(L))
+        key = min(out)
+        out[key] += 1
+        return out
+
+    monkeypatch.setattr(fock, "_sector_form", perturbed)
+    monkeypatch.setattr(fock, "_z_form", fock._z_form.__wrapped__)  # bypass the cache
     code, out, err = exit_code(capsys, "lattice-trace", "--norm", "24", "--order", "4")
     assert code == 1
     assert out == "" and "identity failed" in err
+
+
+def test_broken_theta2_fails_equivariant_identity(capsys, monkeypatch):
+    # lattice-trace no longer reads theta; the equivariant identity sets the
+    # lattice/theta route against the ring route, which shares no theta product
+    scale_theta(monkeypatch, 2)
+    code, out, _ = exit_code(capsys, "verify", "--identity", "equivariant-identity-case:24",
+                             "--order", "4")
+    assert code == 1
+    payload = json.loads(out)
+    assert payload["status"] == "fail" and payload["agree"] is False
 
 
 def test_wrong_theta1_fails_its_eta_quotient(capsys, monkeypatch):

@@ -7,8 +7,8 @@ from math import comb, factorial
 import pytest
 
 import reference_fock
-from moontrace import fock, modular
-from moontrace.qseries import MarkerPoly, MarkerSeries
+from moontrace import fock, modular, ring
+from moontrace.qseries import MarkerPoly, MarkerSeries, RationalSeries
 
 # the fixed norms of the verify examples, plus a seeded draw of other even norms
 ORACLE_NORMS = (2, 16, 24, 32, 512) + tuple(
@@ -232,6 +232,90 @@ def test_z_total_norm_32_frozen():
     z = fock.z_total(32, 7)
     de4 = (modular.delta(7) * modular.eisenstein(4, 6)).truncate(7)
     assert z == de4 * F(-225, 4096)
+
+
+def z_series_oracle(L, order):
+    """z_total by the series route: the two theta-form sectors, summed."""
+    return fock.z_untwisted(L, order) + fock.z_twisted(L, order)
+
+
+@pytest.mark.parametrize("L", range(16, 129, 8))
+def test_z_total_ring_route_matches_series_oracle(L):
+    # the series oracle takes under 0.1 s at each of these norms and orders
+    for order in (20, 60, 200):
+        assert fock.z_total(L, order) == z_series_oracle(L, order), (L, order)
+
+
+def test_z_total_ring_route_order_grid():
+    # every order from -2 to 10 in quarters: the same series, or the same refusal
+    for L in (16, 24, 32, 40, 48):
+        for k in range(-8, 41):
+            order = F(k, 4)
+            assert outcome(fock.z_total, L, order) == outcome(z_series_oracle, L, order), (L, order)
+
+
+def test_z_total_ring_route_uses_no_theta_product(monkeypatch):
+    expect = {L: fock.z_total(L, 30) for L in (16, 24, 32, 48, 64)}
+
+    def refuse(*_args, **_kwargs):
+        raise AssertionError("the ring route reached a theta or eta product")
+
+    for module, name in ((modular, "theta"), (modular, "eta"),
+                         (fock, "z_untwisted"), (fock, "z_twisted")):
+        monkeypatch.setattr(module, name, refuse)
+    # uncached, so the form and its monomial table are rebuilt under the patches
+    monkeypatch.setattr(fock, "_z_form", fock._z_form.__wrapped__)
+    monkeypatch.setattr(modular, "_space_table", modular._space_table.__wrapped__)
+    for L, z in expect.items():
+        assert fock.z_total(L, 30) == z, L
+
+
+def t_image(p):
+    """P(-A, A + B) for P = {(i, j): c} in A^i B^j: the image under T."""
+    out = {}
+    for (i, j), c in p.items():
+        for k in range(j + 1):
+            key = (i + k, j - k)
+            out[key] = out.get(key, 0) + (-1) ** i * comb(j, k) * c
+    return {m: c for m, c in out.items() if c}
+
+
+def s_image(p, weight):
+    """(-1)^(w/2) P(B, A): the image under S of a weight-w form."""
+    return {(j, i): (-1) ** (weight // 2) * c for (i, j), c in p.items() if c}
+
+
+def is_level_one(p, weight):
+    """Whether the Gamma(2) form P(A, B) of weight w is fixed by T and S."""
+    p = {m: c for m, c in p.items() if c}
+    return t_image(p) == p and s_image(p, weight) == p
+
+
+def test_sector_forms_are_level_one():
+    for L in range(24, 129, 8):
+        assert is_level_one(fock._sector_form(L), L // 2), L
+
+
+@pytest.mark.parametrize("L", (24, 32, 48, 64, 128))
+def test_perturbed_sector_form_fails_s_or_t(L):
+    # raising any one coefficient of A^i B^(deg - i) by 1 leaves level one
+    form, deg = fock._sector_form(L), L // 4
+    for i in range(deg + 1):
+        bumped = ring.add(form, {(i, deg - i): 1})
+        assert not is_level_one(bumped, L // 2), (L, i)
+
+
+def test_theta_quartic_eisenstein_forms():
+    # E4 and 2 E6 in A = theta1^4, B = theta2^4 against the Eisenstein series
+    # scaled to constant term 1 (and 2)
+    a, b = modular.theta(1, 12).pow_int(4), modular.theta(2, 12).pow_int(4)
+    for poly, k, const in ((fock._E4_AB, 4, 1), (fock._TWO_E6_AB, 6, 2)):
+        assert is_level_one(poly, k)
+        acc = RationalSeries.zero(12)
+        for (i, j), c in poly.items():
+            acc = acc + a.pow_int(i) * b.pow_int(j) * c
+        e = modular.eisenstein(k, 12)
+        assert acc == e * (const / e.coeff(0)), k
 
 
 def test_brute_assembly_matches_closed():

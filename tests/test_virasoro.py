@@ -3,19 +3,19 @@ from fractions import Fraction as F
 
 import pytest
 
+from reference_virasoro import apply_word, reduce_word
+
 from moontrace import modular, virasoro
 from moontrace.qseries import RationalSeries
 from moontrace.virasoro import (
     CENTRAL_CHARGE,
     HWSeed,
     HighestWeight,
-    apply_word,
     compute_nl,
     descendant_zpoint,
     descendant_zpoints,
     normal_order,
     partial_ideal_member,
-    reduce_word,
     vacuum_zpoint,
 )
 
