@@ -114,16 +114,18 @@ def _cmd_vacuum_trace(args) -> int:
 
 def _cmd_lattice_trace(args) -> int:
     L = args.norm
-    z = fock.z_total(L, args.order)
     weight = L // 2
+    fock._check_norm(L)
+    # certify the cusp space before any series work, so a refusal costs nothing
+    space = modular.space_basis("S", weight, args.order) if weight % 2 == 0 else None
+    z = fock.z_total(L, args.order)
     payload = {
         "norm": L,
         "order": str(args.order),
         "series": _series_payload(z, args.format),
     }
     fits = None
-    if weight % 2 == 0:
-        space = modular.space_basis("S", weight, args.order)
+    if space is not None:
         coeffs = modular.fit(z, space)
         fits = {
             "space": f"S_{weight}",

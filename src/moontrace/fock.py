@@ -78,6 +78,7 @@ def _check_norm(L: int):
 
 
 def _warn_unrealizable(L: int):
+    """Warn at the caller of the public function that called this one."""
     if not _realizable(L):
         warnings.warn(
             f"norm {L} is not of the form 4<a,a> for a norm->=4 even lattice "
@@ -277,7 +278,10 @@ def z_untwisted(L: int, order) -> RationalSeries:
     """
     _check_norm(L)
     _warn_unrealizable(L)
-    order = Fraction(order)
+    return _untwisted(L, Fraction(order))
+
+
+def _untwisted(L: int, order: Fraction) -> RationalSeries:
     head = order + 4
     return (
         modular.eta(head).pow_int(12) * (modular.theta(1, head) / 2).pow_int(L - 12)
@@ -292,7 +296,10 @@ def z_twisted(L: int, order) -> RationalSeries:
     """
     _check_norm(L)
     _warn_unrealizable(L)
-    order = Fraction(order)
+    return _twisted(L, Fraction(order))
+
+
+def _twisted(L: int, order: Fraction) -> RationalSeries:
     head = order + 4
     t2 = (modular.theta(2, head) / 2).pow_int(L - 12)
     t3 = (modular.theta(3, head) / 2).pow_int(L - 12)
@@ -356,7 +363,9 @@ def z_total(L: int, order) -> RationalSeries:
     """
     if _realizable(L):
         return ring.series(_z_form(L), order)
-    return z_untwisted(L, order) + z_twisted(L, order)
+    _check_norm(L)
+    _warn_unrealizable(L)  # once, at z_total's caller; the sectors stay quiet
+    return _untwisted(L, Fraction(order)) + _twisted(L, Fraction(order))
 
 
 def _realizable(L: int) -> bool:

@@ -332,16 +332,22 @@ def space_basis(kind: str, weight: int, order) -> FormSpace:
     return FormSpace(kind, weight, tuple(b.truncate(order) for b in basis), labels)
 
 
+def _solve(columns, f: RationalSeries):
+    """Exact c with sum c_i columns[i] = f below every order involved, or None."""
+    if not columns:
+        return [] if f.is_zero() else None
+    bound = min([f.order] + [col.order for col in columns])
+    *vectors, target = coeff_vectors((*columns, f), bound)[2]
+    return _linalg.solve_in_span(vectors, target)
+
+
 def fit(f: RationalSeries, space: FormSpace):
     """Exact coefficients expressing f in the space's basis, or None.
 
-    The fit must hold at every exponent known to both sides; there is no
-    least-squares fallback.
+    The fit must hold at every exponent known to both sides (`_solve`, shared
+    with the ideal slice); there is no least-squares fallback.
     """
-    if not space.basis:
-        return [] if f.is_zero() else None
     bound = min([f.order] + [b.order for b in space.basis])
-    if bound <= max((b.valuation() for b in space.basis), default=Fraction(0)):
+    if any(b.valuation() >= bound for b in space.basis):
         raise TruncationError("truncation order too small to attempt a fit")
-    *columns, target = coeff_vectors((*space.basis, f), bound)[2]
-    return _linalg.solve_in_span(columns, target)
+    return _solve(space.basis, f)

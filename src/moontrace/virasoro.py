@@ -2,10 +2,10 @@
 
 Words of modes L[n] act on a highest-weight vector: positive modes annihilate
 it, L[0] reads the weight, and on the vacuum L[-1] annihilates as well.
-`normal_order` straightens any word into canonical combinations (modes weakly
-increasing, all <= -1) using
-
-    [L[m], L[n]] = (m - n) L[m+n] + (c/12)(m^3 - m) delta_{m+n,0}.
+`normal_order` straightens any word into canonical words (modes weakly
+increasing, all <= -1), returned as a read-only {word: coefficient} mapping,
+by [L[m], L[n]] = (m - n) L[m+n] + (c/12)(m^3 - m) delta_{m+n,0} at the
+moonshine module's central charge c = CENTRAL_CHARGE = 24.
 
 The trace recursion converts a leading L[-2] into a Serre derivative plus a
 finite Eisenstein tail, and a leading L[-1] kills the trace; deeper negative
@@ -19,12 +19,10 @@ from functools import cache
 from types import MappingProxyType
 
 from . import modular, ring
-from ._linalg import solve_in_span
 from .qseries import RationalSeries, RouteDisagreement, TruncationError
 
 __all__ = [
     "HighestWeight",
-    "VirCombo",
     "HWSeed",
     "normal_order",
     "compute_nl",
@@ -41,15 +39,13 @@ CENTRAL_CHARGE = Fraction(24)
 
 @dataclass(frozen=True)
 class HighestWeight:
-    """Highest-weight context: L[0] eigenvalue, central charge, vacuum flag."""
+    """Highest-weight context at c = CENTRAL_CHARGE: L[0] eigenvalue, vacuum flag."""
 
     h: Fraction
-    c: Fraction = CENTRAL_CHARGE
     vacuum: bool = False
 
     def __post_init__(self):
         object.__setattr__(self, "h", Fraction(self.h))
-        object.__setattr__(self, "c", Fraction(self.c))
         if self.vacuum and self.h != 0:
             raise ValueError("the vacuum has weight 0")
 
@@ -63,31 +59,7 @@ class HWSeed:
     vacuum: bool = False
 
     def context(self) -> HighestWeight:
-        return HighestWeight(Fraction(self.weight), CENTRAL_CHARGE, self.vacuum)
-
-
-class VirCombo:
-    """Rational combination of canonical Virasoro words over a fixed context."""
-
-    __slots__ = ("hw", "terms")
-
-    def __init__(self, hw: HighestWeight, terms=None):
-        self.hw = hw
-        self.terms = {
-            tuple(w): Fraction(c) for w, c in (terms or {}).items() if c
-        }
-
-    def __eq__(self, other):
-        if not isinstance(other, VirCombo):
-            return NotImplemented
-        return self.hw == other.hw and self.terms == other.terms
-
-    def __repr__(self):
-        def wname(w):
-            return "1" if not w else "".join(f"L[{n}]" for n in w)
-
-        body = " + ".join(f"{c}*{wname(w)}" for w, c in sorted(self.terms.items()))
-        return f"VirCombo({body or '0'})"
+        return HighestWeight(Fraction(self.weight), self.vacuum)
 
 
 @cache
@@ -122,16 +94,16 @@ def _reduce(word: VirWord, hw: HighestWeight) -> MappingProxyType:
                     out[w] = out.get(w, Fraction(0)) + (m - n) * c
                 if m + n == 0:
                     central = _reduce(word[:inv] + word[inv + 2 :], hw)
-                    scale = hw.c / 12 * (m**3 - m)
+                    scale = CENTRAL_CHARGE / 12 * (m**3 - m)
                     for w, c in central.items():
                         out[w] = out.get(w, Fraction(0)) + scale * c
                 out = {w: c for w, c in out.items() if c}
     return MappingProxyType(out)
 
 
-def normal_order(word, hw: HighestWeight) -> VirCombo:
-    """Canonical form of a mode word applied to a highest-weight vector."""
-    return VirCombo(hw, _reduce(tuple(word), hw))
+def normal_order(word, hw: HighestWeight) -> MappingProxyType:
+    """A mode word applied to the hw vector, as read-only {canonical word: coeff}."""
+    return _reduce(tuple(word), hw)
 
 
 def compute_nl(k: int, l: int) -> Fraction:
@@ -144,7 +116,7 @@ def compute_nl(k: int, l: int) -> Fraction:
         raise ValueError("compute_nl needs k >= 1 and l >= 1")
     if l > k:
         return Fraction(0)
-    hw = HighestWeight(0, CENTRAL_CHARGE, vacuum=True)
+    hw = HighestWeight(0, vacuum=True)
     word = (2 * l - 2,) + (-2,) * (k - 1)
     combo = _reduce(word, hw)
     expected = (-2,) * (k - l)
@@ -273,29 +245,21 @@ def partial_ideal_member(
     """Decompose f as sum_j m_j * D^j(gen) with m_j holomorphic of the right weight.
 
     D is the Serre derivative iterated from gen_weight upward; m_j runs over
-    the weight-(target_weight - gen_weight - 2j) holomorphic basis.  Returns a
-    list of (j, basis label, coefficient) triples, or None when f is outside
-    the ideal slice.
+    the weight-(target_weight - gen_weight - 2j) holomorphic basis, so a span
+    of 2k takes D^0 .. D^k (k derivatives) and an odd or negative span leaves
+    only f = 0 in the slice.  Returns a list of (j, basis label, coefficient)
+    triples, or None when f is outside the ideal slice.
     """
     order = Fraction(order)
-    columns = []
-    keys = []
-    cur = gen
-    j = 0
-    while target_weight - gen_weight - 2 * j >= 0:
-        w = target_weight - gen_weight - 2 * j
-        if w % 2 == 0:
-            sp = modular.space_basis("M", w, order)
-            for b, lab in zip(sp.basis, sp.labels):
-                columns.append(b * cur)
-                keys.append((j, lab))
-        cur = modular.serre_derive(cur, gen_weight + 2 * j)
-        j += 1
-    if not columns:
+    span = target_weight - gen_weight
+    if span < 0 or span % 2:
         return [] if f.is_zero() else None
-    bound = min([f.order] + [col.order for col in columns])
-    *mat, target = modular.coeff_vectors((*columns, f), bound)[2]
-    sol = solve_in_span(mat, target)
-    if sol is None:
-        return None
-    return [(jj, lab, c) for (jj, lab), c in zip(keys, sol) if c]
+    columns, keys, cur = [], [], gen
+    for j in range(span // 2 + 1):
+        if j:
+            cur = modular.serre_derive(cur, gen_weight + 2 * j - 2)
+        sp = modular.space_basis("M", span - 2 * j, order)
+        columns += [b * cur for b in sp.basis]
+        keys += [(j, lab) for lab in sp.labels]
+    sol = modular._solve(columns, f)
+    return None if sol is None else [(j, lab, c) for (j, lab), c in zip(keys, sol) if c]

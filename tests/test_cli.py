@@ -134,6 +134,18 @@ def test_lattice_trace_unrealizable_warns(capsys):
     assert json.loads(out)["fits"] == {"space": "S_10", "dim": 0, "coefficients": None}
 
 
+def test_lattice_trace_refuses_space_before_series(capsys, monkeypatch):
+    # S_256 cannot be certified at order 20; the refusal must not wait for z_total
+    def refuse(*_args):
+        raise AssertionError("z_total ran before the cusp space was certified")
+
+    monkeypatch.setattr(cli.fock, "z_total", refuse)
+    code, out, err = run(capsys, "lattice-trace", "--norm", "512", "--order", "20")
+    assert code == 2
+    assert out == ""
+    assert "order 20 too small to certify independence of M_244" in err
+
+
 def test_spaces(capsys):
     code, out, _ = run(capsys, "spaces", "--kind", "S", "--weight", "12",
                        "--order", "8")

@@ -336,6 +336,14 @@ def test_realizable_norms():
     assert [L for L in range(0, 66, 2) if fock._realizable(L)] == [16, 24, 32, 40, 48, 56, 64]
 
 
+def test_unrealizable_z_total_warns_once_at_its_caller():
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        fock.z_total(20, 3)
+    assert [w.category for w in caught] == [RuntimeWarning]
+    assert caught[0].filename == __file__
+
+
 def test_unrealizable_norm_warns():
     with pytest.warns(RuntimeWarning):
         z = fock.z_total(20, 3)
