@@ -1,8 +1,10 @@
 """Exact linear algebra over the rationals and the integers.
 
 Small dense routines backing form-space fits, kernel extraction, and lattice
-sublattice computation.  Everything is exact, with no floating point anywhere;
-rational elimination runs fraction-free on integers.
+sublattice computation.  Everything is exact, with no floating point anywhere.
+There are two eliminations: `_eliminate`, fraction-free Gauss-Jordan behind
+`rref`, `rank`, `solve_in_span` and `nullspace`, and `row_hnf`, the integer
+row Hermite normal form, on which `int_kernel` is built.
 """
 from __future__ import annotations
 
@@ -111,49 +113,12 @@ def row_hnf(rows):
 
 
 def int_kernel(rows):
-    """Basis of the integer kernel {x in Z^n : rows @ x = 0}.
+    """Basis of the left integer kernel {x in Z^n : x @ rows = 0}, n = len(rows).
 
-    Column-style HNF with a unimodular transform; the returned basis is
-    saturated (it spans the full integer kernel, not a finite-index piece)
-    and canonicalized through row_hnf for determinism.
+    The row HNF of [rows | I_n] records each row's unimodular combination in
+    its I-part; the I-parts of the rows whose rows-part is zero are a saturated
+    basis of the kernel, already in row HNF (Cohen, GTM 138, section 2.4).
     """
-    nrows = len(rows)
-    ncols = len(rows[0]) if nrows else 0
-    a = [list(map(int, r)) for r in rows]
-    u = [[1 if i == j else 0 for j in range(ncols)] for i in range(ncols)]
-
-    def col(mat, j):
-        return [mat[i][j] for i in range(len(mat))]
-
-    def addmul_col(mat, dst, src, q):
-        for i in range(len(mat)):
-            mat[i][dst] -= q * mat[i][src]
-
-    def swap_col(mat, i, j):
-        for row in mat:
-            row[i], row[j] = row[j], row[i]
-
-    c = 0
-    for r in range(nrows):
-        piv = next((j for j in range(c, ncols) if a[r][j]), None)
-        if piv is None:
-            continue
-        swap_col(a, c, piv)
-        swap_col(u, c, piv)
-        changed = True
-        while changed:
-            changed = False
-            for j in range(c + 1, ncols):
-                if a[r][j]:
-                    q = a[r][j] // a[r][c]
-                    addmul_col(a, j, c, q)
-                    addmul_col(u, j, c, q)
-                    if a[r][j]:
-                        swap_col(a, c, j)
-                        swap_col(u, c, j)
-                        changed = True
-        c += 1
-        if c == ncols:
-            break
-    kernel = [col(u, j) for j in range(c, ncols) if not any(col(a, j))]
-    return row_hnf(kernel)
+    k = len(rows[0]) if rows else 0
+    aug = [[*row, *(int(i == j) for j in range(len(rows)))] for i, row in enumerate(rows)]
+    return [row[k:] for row in row_hnf(aug) if not any(row[:k])]

@@ -419,6 +419,9 @@ class EquivariantSpec:
             if ambient.inner(self.alpha, row) != 0:
                 raise ValueError("alpha must be orthogonal to the fixed sublattice")
         self.trT = Fraction(trT)
+        # the frame shapes of a and -a on a rank-n lattice have degree n
+        for shape in (shape_a, shape_minus_a):
+            shape.check_rank(ambient.rank)
         self.shape_a = shape_a
         self.shape_minus_a = shape_minus_a
 
@@ -438,17 +441,27 @@ class EquivariantSpec:
 
     @classmethod
     def from_json_obj(cls, obj) -> "EquivariantSpec":
-        sub = obj["fixed_sublattice"]
-        return cls(
-            ambient=Lattice.from_json_obj(obj["ambient"]),
-            fixed_sublattice=Lattice.from_json_obj(sub),
-            embedding=sub["embedding"],
-            xi=[Fraction(x) for x in obj["xi"]],
-            alpha=obj["alpha"],
-            trT=Fraction(obj["trT"]),
-            shape_a=CycleShape.from_json_obj(obj["shape_a"]),
-            shape_minus_a=CycleShape.from_json_obj(obj["shape_minus_a"]),
-        )
+        """Spec from its JSON document.  A document of the wrong structure (not
+        an object, a field missing or of the wrong JSON type) raises ValueError."""
+        # every JSON value is read and converted inside the try, so a TypeError
+        # here is the document's; the spec's own checks run after it
+        try:
+            sub = obj["fixed_sublattice"]
+            fields = dict(
+                ambient=Lattice.from_json_obj(obj["ambient"]),
+                fixed_sublattice=Lattice.from_json_obj(sub),
+                embedding=[list(row) for row in sub["embedding"]],
+                xi=[Fraction(x) for x in obj["xi"]],
+                alpha=list(obj["alpha"]),
+                trT=Fraction(obj["trT"]),
+                shape_a=CycleShape.from_json_obj(obj["shape_a"]),
+                shape_minus_a=CycleShape.from_json_obj(obj["shape_minus_a"]),
+            )
+        except KeyError as exc:
+            raise ValueError(f"spec lacks the field {exc}") from exc
+        except TypeError as exc:
+            raise ValueError(f"spec has the wrong structure: {exc}") from exc
+        return cls(**fields)
 
     @classmethod
     def load(cls, path) -> "EquivariantSpec":
@@ -506,30 +519,20 @@ def equivariant_z(spec: EquivariantSpec, L: int, order) -> RationalSeries:
 
 
 def fixed_sublattice_from_automorphism(ambient: Lattice, matrix):
-    """Sublattice fixed by -a, i.e. the saturated integer kernel of (a + 1).
+    """Sublattice fixed by -a: the saturated left integer kernel of a + 1.
 
-    `matrix` acts on coordinate rows (v -> v @ a) and must preserve the Gram.
-    Returns (sublattice, embedding rows).
+    Row i of `matrix` is the image of basis vector i (a acts on coordinate
+    rows, v -> v @ a), so a preserves the Gram exactly when its rows have
+    the Gram as their inner products.  Returns (sublattice, embedding rows).
     """
     r = ambient.rank
     a = _integer_rows(matrix)
     if len(a) != r or any(len(row) != r for row in a):
         raise ValueError("automorphism must be square of ambient rank")
-    g = ambient.gram
-    aga = [
-        [
-            sum(a[i][k] * g[k][l] * a[j][l] for k in range(r) for l in range(r))
-            for j in range(r)
-        ]
-        for i in range(r)
-    ]
-    if aga != [list(row) for row in g]:
+    if [[ambient.inner(x, y) for y in a] for x in a] != [list(row) for row in ambient.gram]:
         raise ValueError("matrix does not preserve the gram form")
-    a_plus = [[a[i][j] + (i == j) for j in range(r)] for i in range(r)]
-    # right kernel of (a+1)^T is the left kernel of (a+1): rows v with v(a+1)=0
-    transpose = [[a_plus[j][i] for j in range(r)] for i in range(r)]
-    basis = int_kernel(transpose)
-    emb = [tuple(v) for v in basis]
+    a_plus = [[x + (i == j) for j, x in enumerate(row)] for i, row in enumerate(a)]
+    emb = [tuple(v) for v in int_kernel(a_plus)]
     gram = [[ambient.inner(x, y) for y in emb] for x in emb]
     return Lattice(gram), emb
 

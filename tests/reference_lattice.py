@@ -4,8 +4,17 @@
 basis and `enumerate_with_norms` the Fincke-Pohst walk over it, propagating
 exact rational norm budgets.  The library reduces the basis with integral LLL
 first and walks in integers; these routes share none of that code.
+
+`fixed_sublattice_from_automorphism` is the library's former route, kept
+verbatim: it checks the isometry by an explicit sum a g a^T and takes the
+integer kernel of the transpose of a + 1 with the former column elimination
+(`reference_linalg.int_kernel`).
 """
 from fractions import Fraction
+
+from reference_linalg import int_kernel
+
+from moontrace.lattice import Lattice, _integer_rows
 
 
 def ldl(gram):
@@ -69,3 +78,32 @@ def enumerate_with_norms(gram, maxnorm):
     descend(r - 1, top)
     out.sort()
     return out
+
+
+def fixed_sublattice_from_automorphism(ambient: Lattice, matrix):
+    """Sublattice fixed by -a, i.e. the saturated integer kernel of (a + 1).
+
+    `matrix` acts on coordinate rows (v -> v @ a) and must preserve the Gram.
+    Returns (sublattice, embedding rows).
+    """
+    r = ambient.rank
+    a = _integer_rows(matrix)
+    if len(a) != r or any(len(row) != r for row in a):
+        raise ValueError("automorphism must be square of ambient rank")
+    g = ambient.gram
+    aga = [
+        [
+            sum(a[i][k] * g[k][l] * a[j][l] for k in range(r) for l in range(r))
+            for j in range(r)
+        ]
+        for i in range(r)
+    ]
+    if aga != [list(row) for row in g]:
+        raise ValueError("matrix does not preserve the gram form")
+    a_plus = [[a[i][j] + (i == j) for j in range(r)] for i in range(r)]
+    # right kernel of (a+1)^T is the left kernel of (a+1): rows v with v(a+1)=0
+    transpose = [[a_plus[j][i] for j in range(r)] for i in range(r)]
+    basis = int_kernel(transpose)
+    emb = [tuple(v) for v in basis]
+    gram = [[ambient.inner(x, y) for y in emb] for x in emb]
+    return Lattice(gram), emb

@@ -198,6 +198,22 @@ def test_equivariant_non_integral_spec_exits_2(capsys, tmp_path, part):
     assert "is not an integer" in err
 
 
+@pytest.mark.parametrize("edit, message", [
+    (lambda obj: {k: v for k, v in obj.items() if k != "trT"}, "spec lacks the field 'trT'"),
+    (lambda obj: {**obj, "ambient": {"rank": 24, "gram": 5}}, "spec has the wrong structure"),
+    (lambda obj: [obj], "spec has the wrong structure"),
+    (lambda obj: {**obj, "shape_a": [[1, 23]]}, "cycle shape degree 23 != rank 24"),
+], ids=["missing-trT", "scalar-gram", "top-level-list", "shape-degree"])
+def test_equivariant_malformed_spec_exits_2(capsys, tmp_path, edit, message):
+    path = tmp_path / "spec.json"
+    path.write_text(json.dumps(edit(identity_spec(16).to_json_obj())))
+    code, out, err = run(capsys, "equivariant", "--spec", str(path),
+                         "--norm", "16", "--order", "4")
+    assert code == 2
+    assert out == ""
+    assert message in err
+
+
 def test_order_must_be_at_least_one(capsys):
     with pytest.raises(SystemExit):
         cli.main(["expand", "--what", "delta", "--order", "1/2"])

@@ -121,7 +121,7 @@ def _spec_rank1(xi):
     return EquivariantSpec(
         ambient=L2, fixed_sublattice=L2, embedding=[[1]],
         xi=xi, alpha=[0], trT=0,
-        shape_a=CycleShape([(1, 1)]), shape_minus_a=CycleShape([(2, 1)]),
+        shape_a=CycleShape([(1, 1)]), shape_minus_a=CycleShape([(1, -1), (2, 1)]),
     )
 
 
@@ -135,19 +135,24 @@ def test_twisted_theta_phases():
 
 
 def test_spec_validation():
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="does not induce the sublattice gram"):
         EquivariantSpec(
             ambient=L2, fixed_sublattice=Lattice([[4]]), embedding=[[1]],
             xi=[0], alpha=[0], trT=0,
-            shape_a=CycleShape([(1, 1)]), shape_minus_a=CycleShape([(2, 1)]),
+            shape_a=CycleShape([(1, 1)]), shape_minus_a=CycleShape([(1, -1), (2, 1)]),
         )  # embedding induces gram 2, not 4
     amb = Lattice([[2, 0], [0, 4]])
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="alpha must be orthogonal to the fixed sublattice"):
         EquivariantSpec(
             ambient=amb, fixed_sublattice=Lattice([[2]]), embedding=[[1, 0]],
             xi=[0, 0], alpha=[1, 0], trT=0,
             shape_a=CycleShape([(1, 2)]), shape_minus_a=CycleShape([(2, 2), (1, -2)]),
         )  # alpha not orthogonal to the sublattice
+    with pytest.raises(ValueError, match="cycle shape degree 2 != rank 1"):
+        EquivariantSpec(
+            ambient=L2, fixed_sublattice=L2, embedding=[[1]], xi=[0], alpha=[0], trT=0,
+            shape_a=CycleShape([(1, 1)]), shape_minus_a=CycleShape([(2, 1)]),
+        )  # 2^1 has degree 2: the frame shape of a swap on Z^2, not of anything on Z
 
 
 def test_fixed_sublattice_routes():
@@ -169,6 +174,49 @@ def test_swap_automorphism_fixed_line():
     assert sub.rank == 1
     assert sub.gram[0][0] == 4
     assert amb.norm(emb[0]) == 4
+
+
+def _fixed_sublattice_outcome(route, ambient, matrix):
+    try:
+        return route(ambient, matrix)
+    except ValueError as exc:
+        return str(exc)
+
+
+def _e8_weyl_words(rng, count):
+    """Products of up to 6 simple reflections of E8 acting on coordinate rows,
+    each also times -1."""
+    g = _root_gram("E", 8)
+    # row j of s_i is the image of e_j: e_j - <e_j, e_i> e_i
+    refl = [[[int(j == k) - g[j][i] * int(k == i) for k in range(8)] for j in range(8)]
+            for i in range(8)]
+    for _ in range(count):
+        a = [[int(j == k) for k in range(8)] for j in range(8)]
+        for i in rng.choices(range(8), k=rng.randint(0, 6)):
+            a = [[sum(x * y for x, y in zip(row, col)) for col in zip(*refl[i])] for row in a]
+        yield a
+        yield [[-x for x in row] for row in a]
+
+
+def test_fixed_sublattice_matches_reference():
+    rng = random.Random("fixed-sublattice")
+    cases = [(Lattice(_root_gram("E", 8)), a) for a in _e8_weyl_words(rng, 40)]
+    for diag in ([[2, 0], [0, 4]], [[2, 0], [0, 2]]):
+        for perm in ([[1, 0], [0, 1]], [[0, 1], [1, 0]]):
+            for s, t in ((1, 1), (1, -1), (-1, 1), (-1, -1)):
+                cases.append((Lattice(diag), [[s * perm[0][0], s * perm[0][1]],
+                                              [t * perm[1][0], t * perm[1][1]]]))
+    leech = leech_lattice()
+    cases += [(leech, [[sign * int(i == j) for j in range(24)] for i in range(24)])
+              for sign in (1, -1)]
+    cases += [(L2, [[1, 0]]), (L2, [[-1], [1]])]  # not square
+    refused = 0
+    for ambient, a in cases:
+        got = _fixed_sublattice_outcome(fixed_sublattice_from_automorphism, ambient, a)
+        assert got == _fixed_sublattice_outcome(
+            reference.fixed_sublattice_from_automorphism, ambient, a), a
+        refused += isinstance(got, str)
+    assert refused == 6  # the four swaps on diag(2, 4) and the two non-square
 
 
 def test_leech_certificate():
@@ -400,7 +448,7 @@ def test_non_integral_entries_refused():
             Lattice(gram)
     assert Lattice([[2.0]]) == L2 == Lattice([[F(4, 2)]])
     good = dict(ambient=L2, fixed_sublattice=L2, embedding=[[1]], xi=[0], alpha=[0],
-                trT=0, shape_a=CycleShape([(1, 1)]), shape_minus_a=CycleShape([(2, 1)]))
+                trT=0, shape_a=CycleShape([(1, 1)]), shape_minus_a=CycleShape([(1, -1), (2, 1)]))
     EquivariantSpec(**good)
     for field, value in (("embedding", [[1.5]]), ("alpha", [F(1, 2)]), ("alpha", [0.25])):
         with pytest.raises(ValueError):

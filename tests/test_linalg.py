@@ -110,3 +110,24 @@ def test_gram_solves_match_reference():
         rows = [[F(x) for x in row] for row in gram]
         _check_solve(rows, [F(rng.randint(0, 1), 2) for _ in gram])
         _check(rows)
+
+
+@pytest.mark.parametrize("bits", [3, 12])
+def test_int_kernel_matches_reference(bits):
+    # the left kernel of m is the right kernel of m^T, which the former column
+    # elimination computed; zero columns leave every row in the kernel, a case
+    # the former route could not be given (m^T has no rows to carry n)
+    rng = random.Random(f"linalg-int-kernel-{bits}")
+    for _ in range(300 if bits < 10 else 60):
+        nrows, ncols = rng.randint(1, 7), rng.randint(0, 6)
+        rows = [[int(x) for x in row] for row in _matrix(rng, nrows, ncols, bits, (1,))]
+        got = _linalg.int_kernel(rows)
+        assert len(got) == nrows - _linalg.rank(rows), rows
+        for v in got:
+            assert all(type(x) is int for x in v)
+            assert all(sum(x * row[j] for x, row in zip(v, rows)) == 0 for j in range(ncols))
+        if ncols:
+            assert got == reference.int_kernel([list(c) for c in zip(*rows)]), rows
+        else:
+            assert got == [[int(i == j) for j in range(nrows)] for i in range(nrows)]
+    assert _linalg.int_kernel([]) == []
